@@ -1,19 +1,14 @@
 #include "driver/grid.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <span>
 #include <stdexcept>
+
+#include "json/flat_json.hpp"
 
 namespace manytiers::driver {
 
 namespace {
-
-std::string fmt_param(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
 
 template <typename Enum, typename ToString>
 Enum enum_from_string(std::string_view text, std::span<const Enum> candidates,
@@ -225,15 +220,15 @@ std::string grid_signature(const ExperimentGrid& grid) {
   sig += "|B=" + std::to_string(grid.max_bundles);
   sig += "|sweep=" + std::string(to_string(grid.sweep.kind)) + ":";
   for (const double v : grid.sweep.values) {
-    sig += fmt_param(v);
+    sig += json::number_text(v);
     sig += ';';
   }
   sig += "|base=seed:" + std::to_string(grid.base.seed) +
          ",n:" + std::to_string(grid.base.n_flows) +
-         ",alpha:" + fmt_param(grid.base.alpha) +
-         ",P0:" + fmt_param(grid.base.blended_price) +
-         ",theta:" + fmt_param(grid.base.theta) +
-         ",s0:" + fmt_param(grid.base.s0);
+         ",alpha:" + json::number_text(grid.base.alpha) +
+         ",P0:" + json::number_text(grid.base.blended_price) +
+         ",theta:" + json::number_text(grid.base.theta) +
+         ",s0:" + json::number_text(grid.base.s0);
   return sig;
 }
 

@@ -32,6 +32,7 @@
 #include "driver/grid.hpp"
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
+#include "json/flat_json.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
 #include "obs/trace.hpp"
@@ -89,24 +90,6 @@ int usage(std::ostream& os, int code) {
         "  worker faults (slow takes a duration: slow:shard:ms[:times]);\n"
         "  MANYTIERS_FAULT_ATTEMPT gates specs to retry attempts < times.\n";
   return code;
-}
-
-std::uint64_t parse_u64(const std::string& text, const char* flag) {
-  std::size_t used = 0;
-  const std::uint64_t value = std::stoull(text, &used);
-  if (used != text.size()) {
-    throw std::invalid_argument(std::string(flag) + ": not a number: " + text);
-  }
-  return value;
-}
-
-double parse_double(const std::string& text, const char* flag) {
-  std::size_t used = 0;
-  const double value = std::stod(text, &used);
-  if (used != text.size()) {
-    throw std::invalid_argument(std::string(flag) + ": not a number: " + text);
-  }
-  return value;
 }
 
 // Liveness beacon: touches the heartbeat file on an interval from a
@@ -199,14 +182,14 @@ int main(int argc, char** argv) {
       } else if (arg == "--grid") {
         grid_name = next();
       } else if (arg == "--threads") {
-        threads = parse_u64(next(), "--threads");
+        threads = json::parse_number<std::size_t>(next(), arg);
       } else if (arg == "--shard-index") {
-        shard.index = parse_u64(next(), "--shard-index");
+        shard.index = json::parse_number<std::size_t>(next(), arg);
         shard_index_given = true;
       } else if (arg == "--shard-count") {
-        shard.count = parse_u64(next(), "--shard-count");
+        shard.count = json::parse_number<std::size_t>(next(), arg);
       } else if (arg == "--shards") {
-        shards_in_process = parse_u64(next(), "--shards");
+        shards_in_process = json::parse_number<std::size_t>(next(), arg);
       } else if (arg == "--merge") {
         merge_mode = true;
       } else if (arg == "--out") {
@@ -218,26 +201,26 @@ int main(int argc, char** argv) {
       } else if (arg == "--heartbeat") {
         heartbeat_path = next();
       } else if (arg == "--heartbeat-interval-ms") {
-        heartbeat_interval_ms =
-            static_cast<double>(parse_u64(next(), "--heartbeat-interval-ms"));
+        heartbeat_interval_ms = static_cast<double>(
+            json::parse_number<std::uint64_t>(next(), arg));
         if (heartbeat_interval_ms <= 0.0) {
           throw std::invalid_argument("--heartbeat-interval-ms must be >= 1");
         }
       } else if (arg == "--trace") {
         trace_path = next();
       } else if (arg == "--trace-sample") {
-        trace_sample = parse_u64(next(), "--trace-sample");
+        trace_sample = json::parse_number<std::uint64_t>(next(), arg);
       } else if (arg == "--metrics") {
         metrics_path = next();
       } else if (arg == "--metrics-interval-ms") {
-        metrics_interval_ms = parse_double(next(), "--metrics-interval-ms");
+        metrics_interval_ms = json::parse_number<double>(next(), arg);
       } else if (arg == "--seed") {
-        seed = parse_u64(next(), "--seed");
+        seed = json::parse_number<std::uint64_t>(next(), arg);
         seed_given = true;
       } else if (arg == "--n-flows") {
-        n_flows = parse_u64(next(), "--n-flows");
+        n_flows = json::parse_number<std::size_t>(next(), arg);
       } else if (arg == "--max-bundles") {
-        max_bundles = parse_u64(next(), "--max-bundles");
+        max_bundles = json::parse_number<std::size_t>(next(), arg);
       } else if (merge_mode && !arg.empty() && arg.front() != '-') {
         merge_inputs.push_back(arg);
       } else {
@@ -403,9 +386,14 @@ int main(int argc, char** argv) {
     obs::Tracer::instance().flush();
     // Perf-trajectory breadcrumb, same shape as the bench binaries'.
     const std::size_t n_tasks = report.cells.size() * report.points_per_cell;
-    std::cerr << "BENCH_JSON {\"bench\":\"manytiers_batch:" << report.grid_name
-              << "\",\"n\":" << n_tasks << ",\"wall_ms\":" << report.wall_ms
-              << ",\"threads\":" << report.threads << "}\n";
+    std::string line = "BENCH_JSON ";
+    json::Writer(line)
+        .field("bench", "manytiers_batch:" + report.grid_name)
+        .field("n", n_tasks)
+        .field("wall_ms", report.wall_ms)
+        .field("threads", report.threads)
+        .close();
+    std::cerr << line << '\n';
   } catch (const std::exception& err) {
     std::cerr << "manytiers_batch: " << err.what() << "\n";
     return 1;

@@ -1,99 +1,20 @@
 #include "driver/report.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
 
+#include "json/flat_json.hpp"
+
 namespace manytiers::driver {
 
 namespace {
 
 constexpr std::string_view kLinePrefix = "BATCH_JSON ";
-
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-void append_array(std::string& out, const std::vector<double>& values) {
-  out += '[';
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (i != 0) out += ',';
-    out += fmt_double(values[i]);
-  }
-  out += ']';
-}
-
-// --- Minimal field extraction for the writer's own line format. The
-// writer never emits escaped quotes or nested objects, so plain scanning
-// is exact (and keeps the reader dependency-free).
-
-std::string_view field_token(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string_view::npos) {
-    throw std::invalid_argument("batch report: missing field \"" +
-                                std::string(key) + "\" in line: " +
-                                std::string(line.substr(0, 80)));
-  }
-  return line.substr(at + needle.size());
-}
-
-std::string parse_string(std::string_view line, std::string_view key) {
-  std::string_view rest = field_token(line, key);
-  if (rest.empty() || rest.front() != '"') {
-    throw std::invalid_argument("batch report: field \"" + std::string(key) +
-                                "\" is not a string");
-  }
-  rest.remove_prefix(1);
-  const std::size_t end = rest.find('"');
-  if (end == std::string_view::npos) {
-    throw std::invalid_argument("batch report: unterminated string field");
-  }
-  return std::string(rest.substr(0, end));
-}
-
-double parse_double(std::string_view line, std::string_view key) {
-  const std::string token(field_token(line, key));
-  return std::strtod(token.c_str(), nullptr);
-}
-
-std::size_t parse_size(std::string_view line, std::string_view key) {
-  const std::string token(field_token(line, key));
-  return static_cast<std::size_t>(std::strtoull(token.c_str(), nullptr, 10));
-}
-
-std::vector<double> parse_array(std::string_view line, std::string_view key) {
-  std::string_view rest = field_token(line, key);
-  if (rest.empty() || rest.front() != '[') {
-    throw std::invalid_argument("batch report: field \"" + std::string(key) +
-                                "\" is not an array");
-  }
-  rest.remove_prefix(1);
-  const std::size_t end = rest.find(']');
-  if (end == std::string_view::npos) {
-    throw std::invalid_argument("batch report: unterminated array field");
-  }
-  std::vector<double> out;
-  std::string body(rest.substr(0, end));
-  const char* cursor = body.c_str();
-  while (*cursor != '\0') {
-    char* next = nullptr;
-    out.push_back(std::strtod(cursor, &next));
-    if (next == cursor) {
-      throw std::invalid_argument("batch report: malformed number in array");
-    }
-    cursor = next;
-    while (*cursor == ',' || *cursor == ' ') ++cursor;
-  }
-  return out;
-}
+constexpr std::string_view kContext = "batch report";
 
 }  // namespace
 
@@ -109,55 +30,55 @@ pricing::SweepResult empty_envelope(std::size_t max_bundles) {
 
 void write_report(std::ostream& os, const BatchReport& report,
                   bool include_timing) {
-  std::string line;
-  line += kLinePrefix;
-  line += "{\"type\":\"grid\",\"name\":\"" + report.grid_name +
-          "\",\"signature\":\"" + report.signature +
-          "\",\"max_bundles\":" + std::to_string(report.max_bundles) +
-          ",\"points_per_cell\":" + std::to_string(report.points_per_cell) +
-          ",\"shard_index\":" + std::to_string(report.shard_index) +
-          ",\"shard_count\":" + std::to_string(report.shard_count) +
-          // Schema v2 marker only when enabled, so v1 output stays
-          // byte-identical (the golden reports predate the field).
-          (report.per_point ? std::string(",\"per_point\":1") : std::string()) +
-          ",\"cells\":" + std::to_string(report.cells.size()) + "}";
-  os << line << '\n';
+  std::string line(kLinePrefix);
+  json::Writer grid(line);
+  grid.field("type", "grid")
+      .field("name", report.grid_name)
+      .field("signature", report.signature)
+      .field("max_bundles", report.max_bundles)
+      .field("points_per_cell", report.points_per_cell)
+      .field("shard_index", report.shard_index)
+      .field("shard_count", report.shard_count);
+  // Schema v2 marker only when enabled, so v1 output stays byte-identical
+  // (the golden reports predate the field).
+  if (report.per_point) grid.field("per_point", 1);
+  os << grid.field("cells", report.cells.size()).close() << '\n';
   for (const auto& cell : report.cells) {
-    line.clear();
-    line += kLinePrefix;
-    line += "{\"type\":\"cell\",\"key\":\"" + cell_key(cell.cell) +
-            "\",\"points\":" + std::to_string(cell.sweep.points) + ",\"min\":";
+    line = kLinePrefix;
+    json::Writer record(line);
+    record.field("type", "cell")
+        .field("key", cell_key(cell.cell))
+        .field("points", cell.sweep.points);
     // Untouched shard cells hold +/-inf sentinels; serialize them as
     // empty arrays so the file stays strict JSON.
-    if (cell.sweep.points == 0) {
-      line += "[],\"max\":[]";
-    } else {
-      append_array(line, cell.sweep.min_capture);
-      line += ",\"max\":";
-      append_array(line, cell.sweep.max_capture);
-    }
-    if (include_timing) {
-      line += ",\"wall_ms\":" + fmt_double(cell.wall_ms);
-    }
-    line += '}';
-    os << line << '\n';
+    const std::vector<double> none;
+    const bool untouched = cell.sweep.points == 0;
+    record.field("min", untouched ? none : cell.sweep.min_capture)
+        .field("max", untouched ? none : cell.sweep.max_capture);
+    if (include_timing) record.field("wall_ms", cell.wall_ms);
+    os << record.close() << '\n';
     // Schema v2: per-point records directly after their cell, ascending
     // point index — the order the unsharded fold produces, and the order
     // merge_shards restores, keeping merged output byte-identical.
     for (const auto& point : cell.detail) {
-      line.clear();
-      line += kLinePrefix;
-      line += "{\"type\":\"point\",\"cell\":\"" + cell_key(cell.cell) +
-              "\",\"point\":" + std::to_string(point.point) + ",\"capture\":";
-      append_array(line, point.capture);
-      line += '}';
-      os << line << '\n';
+      line = kLinePrefix;
+      os << json::Writer(line)
+                .field("type", "point")
+                .field("cell", cell_key(cell.cell))
+                .field("point", point.point)
+                .field("capture", point.capture)
+                .close()
+         << '\n';
     }
   }
   if (include_timing) {
-    os << kLinePrefix << "{\"type\":\"timing\",\"wall_ms\":"
-       << fmt_double(report.wall_ms) << ",\"threads\":" << report.threads
-       << "}\n";
+    line = kLinePrefix;
+    os << json::Writer(line)
+              .field("type", "timing")
+              .field("wall_ms", report.wall_ms)
+              .field("threads", report.threads)
+              .close()
+       << '\n';
   }
 }
 
@@ -174,46 +95,43 @@ BatchReport read_report(std::istream& is) {
   std::string line;
   while (std::getline(is, line)) {
     if (line.rfind(kLinePrefix, 0) != 0) continue;  // tolerate other output
-    const std::string_view body =
-        std::string_view(line).substr(kLinePrefix.size());
-    const std::string type = parse_string(body, "type");
+    const json::Object record(
+        std::string_view(line).substr(kLinePrefix.size()), kContext);
+    const std::string type = record.get<std::string>("type");
     if (type == "grid") {
       if (saw_grid) {
         throw std::invalid_argument("batch report: duplicate grid record");
       }
       saw_grid = true;
-      report.grid_name = parse_string(body, "name");
-      report.signature = parse_string(body, "signature");
-      report.max_bundles = parse_size(body, "max_bundles");
-      report.points_per_cell = parse_size(body, "points_per_cell");
-      report.shard_index = parse_size(body, "shard_index");
-      report.shard_count = parse_size(body, "shard_count");
+      report.grid_name = record.get<std::string>("name");
+      report.signature = record.get<std::string>("signature");
+      report.max_bundles = record.get<std::size_t>("max_bundles");
+      report.points_per_cell = record.get<std::size_t>("points_per_cell");
+      report.shard_index = record.get<std::size_t>("shard_index");
+      report.shard_count = record.get<std::size_t>("shard_count");
       report.per_point =
-          body.find("\"per_point\":") != std::string_view::npos &&
-          parse_size(body, "per_point") != 0;
-      declared_cells = parse_size(body, "cells");
+          record.get_optional<std::size_t>("per_point").value_or(0) != 0;
+      declared_cells = record.get<std::size_t>("cells");
     } else if (type == "cell") {
       if (!saw_grid) {
         throw std::invalid_argument(
             "batch report: cell record before grid record");
       }
       CellResult cell;
-      cell.cell = parse_cell_key(parse_string(body, "key"));
-      cell.sweep.points = parse_size(body, "points");
+      cell.cell = parse_cell_key(record.get<std::string>("key"));
+      cell.sweep.points = record.get<std::size_t>("points");
       if (cell.sweep.points == 0) {
         cell.sweep = empty_envelope(report.max_bundles);
       } else {
-        cell.sweep.min_capture = parse_array(body, "min");
-        cell.sweep.max_capture = parse_array(body, "max");
+        cell.sweep.min_capture = record.get<std::vector<double>>("min");
+        cell.sweep.max_capture = record.get<std::vector<double>>("max");
         if (cell.sweep.min_capture.size() != report.max_bundles ||
             cell.sweep.max_capture.size() != report.max_bundles) {
           throw std::invalid_argument(
               "batch report: cell envelope length does not match max_bundles");
         }
       }
-      if (body.find("\"wall_ms\":") != std::string_view::npos) {
-        cell.wall_ms = parse_double(body, "wall_ms");
-      }
+      cell.wall_ms = record.get_optional<double>("wall_ms").value_or(0.0);
       report.cells.push_back(std::move(cell));
     } else if (type == "point") {
       if (report.cells.empty()) {
@@ -221,14 +139,14 @@ BatchReport read_report(std::istream& is) {
             "batch report: point record before any cell record");
       }
       CellResult& cell = report.cells.back();
-      if (parse_string(body, "cell") != cell_key(cell.cell)) {
+      if (record.get<std::string>("cell") != cell_key(cell.cell)) {
         throw std::invalid_argument(
             "batch report: point record names a different cell than the "
             "one preceding it");
       }
       PointCapture point;
-      point.point = parse_size(body, "point");
-      point.capture = parse_array(body, "capture");
+      point.point = record.get<std::size_t>("point");
+      point.capture = record.get<std::vector<double>>("capture");
       if (point.capture.size() != report.max_bundles) {
         throw std::invalid_argument(
             "batch report: point capture length does not match max_bundles");
@@ -240,8 +158,8 @@ BatchReport read_report(std::istream& is) {
       }
       cell.detail.push_back(std::move(point));
     } else if (type == "timing") {
-      report.wall_ms = parse_double(body, "wall_ms");
-      report.threads = parse_size(body, "threads");
+      report.wall_ms = record.get<double>("wall_ms");
+      report.threads = record.get<std::size_t>("threads");
     } else {
       throw std::invalid_argument("batch report: unknown record type \"" +
                                   type + "\"");

@@ -3,9 +3,10 @@
 // A report is a sequence of "BATCH_JSON {...}" lines (one JSON object per
 // line, same convention as the benches' BENCH_JSON) holding the grid
 // signature, one record per cell with its capture envelope, and an
-// optional timing record. Capture values round-trip exactly (%.17g), so
-// two reports of the same grid can be compared bit-for-bit — that is
-// what the golden regression test and tools/bench_diff.py rely on.
+// optional timing record, written and read with the flat_json codec.
+// Capture values round-trip exactly, so two reports of the same grid can
+// be compared bit-for-bit — that is what the golden regression test and
+// tools/bench_diff.py rely on. A garbled field throws on read.
 //
 // Sharding: a shard's report carries partial envelopes (each cell covers
 // only the parameter points the shard owned). merge_shards folds a

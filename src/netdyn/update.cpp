@@ -1,9 +1,9 @@
 #include "netdyn/update.hpp"
 
 #include <cctype>
-#include <charconv>
-#include <cstdio>
 #include <stdexcept>
+
+#include "json/flat_json.hpp"
 
 namespace manytiers::netdyn {
 
@@ -31,26 +31,13 @@ std::vector<std::string_view> split(std::string_view s, char sep) {
 }
 
 double parse_double(std::string_view field, std::string_view op) {
-  double value = 0.0;
-  const auto [ptr, ec] =
-      std::from_chars(field.data(), field.data() + field.size(), value);
-  if (ec != std::errc{} || ptr != field.data() + field.size()) {
-    throw std::invalid_argument("parse_updates: bad number '" +
-                                std::string(field) + "' in op '" +
-                                std::string(op) + "'");
-  }
-  return value;
+  return json::parse_number<double>(
+      field, "parse_updates: op '" + std::string(op) + "'");
 }
 
 [[noreturn]] void bad_op(std::string_view op, const char* why) {
   throw std::invalid_argument("parse_updates: " + std::string(why) +
                               " in op '" + std::string(op) + "'");
-}
-
-std::string format_double(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
 }
 
 }  // namespace
@@ -70,7 +57,7 @@ std::string serialize(const NetworkUpdate& u) {
   std::string out(to_string(u.kind));
   switch (u.kind) {
     case NetworkUpdate::Kind::LinkWeight:
-      out += "," + u.a + "," + u.b + "," + format_double(u.length_miles);
+      out += "," + u.a + "," + u.b + "," + json::number_text(u.length_miles);
       break;
     case NetworkUpdate::Kind::LinkDown:
       out += "," + u.a + "," + u.b;
@@ -78,13 +65,13 @@ std::string serialize(const NetworkUpdate& u) {
     case NetworkUpdate::Kind::LinkUp:
       out += "," + u.a + "," + u.b;
       if (u.length_miles >= 0.0) {
-        out += "," + format_double(u.length_miles) + "," +
-               format_double(u.capacity_gbps);
+        out += "," + json::number_text(u.length_miles) + "," +
+               json::number_text(u.capacity_gbps);
       }
       break;
     case NetworkUpdate::Kind::PopAdd:
-      out += "," + u.name + "," + format_double(u.location.lat_deg) + "," +
-             format_double(u.location.lon_deg);
+      out += "," + u.name + "," + json::number_text(u.location.lat_deg) + "," +
+             json::number_text(u.location.lon_deg);
       break;
     case NetworkUpdate::Kind::PopRemove:
       out += "," + u.name;

@@ -6,8 +6,9 @@
 #include <bit>
 #include <chrono>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
+
+#include "json/flat_json.hpp"
 
 namespace manytiers::obs {
 
@@ -198,184 +199,28 @@ void Registry::reset() {
 
 namespace {
 
-// Escape for the (writer-controlled) metric names; same minimal set as
-// the orchestrator's event writer.
-std::string quote(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
+// The fields every histogram record carries, in wire order.
+void write_hist(json::Writer& record, const HistogramSnapshot& h) {
+  record.field("count", h.count).field("sum", h.sum)
+      .field("buckets", h.buckets);
 }
 
-std::string format_double(double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", value);
-  return buf;
+// Appends the record {"kind":<kind>,...} with the fields `fill` writes.
+template <typename Fill>
+void add_record(std::vector<std::string>& records, std::string_view kind,
+                const Fill& fill) {
+  json::Writer record(records.emplace_back());
+  fill(record.field("kind", kind));
+  record.close();
 }
 
-// --- Minimal line-record reader for the sidecar format ---
-// Each record line is one flat JSON object written by snapshot_to_json;
-// the reader only has to invert that writer, not parse arbitrary JSON.
-
-[[noreturn]] void bad(const std::string& why) {
-  throw std::invalid_argument("parse_snapshot: " + why);
-}
-
-// Extracts the raw text of `"key":<value>` from a record line, where
-// <value> runs to the next top-level ',' or the closing '}'.
-std::string raw_field(std::string_view line, std::string_view key) {
-  const std::string needle = "\"" + std::string(key) + "\":";
-  const auto pos = line.find(needle);
-  if (pos == std::string_view::npos) {
-    bad("missing field \"" + std::string(key) + "\" in: " + std::string(line));
-  }
-  std::size_t i = pos + needle.size();
-  std::size_t depth = 0;
-  bool in_string = false;
-  const std::size_t start = i;
-  for (; i < line.size(); ++i) {
-    const char c = line[i];
-    if (in_string) {
-      if (c == '\\') {
-        ++i;
-      } else if (c == '"') {
-        in_string = false;
-      }
-      continue;
-    }
-    if (c == '"') in_string = true;
-    else if (c == '[' || c == '{') ++depth;
-    else if (c == ']' || c == '}') {
-      if (depth == 0) break;
-      --depth;
-    } else if (c == ',' && depth == 0) {
-      break;
-    }
-  }
-  return std::string(line.substr(start, i - start));
-}
-
-std::string parse_string(const std::string& raw) {
-  if (raw.size() < 2 || raw.front() != '"' || raw.back() != '"') {
-    bad("expected string, got: " + raw);
-  }
-  std::string out;
-  for (std::size_t i = 1; i + 1 < raw.size(); ++i) {
-    if (raw[i] == '\\' && i + 2 < raw.size()) {
-      ++i;
-      switch (raw[i]) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case 'n': out += '\n'; break;
-        default: bad("unsupported escape in: " + raw);
-      }
-    } else {
-      out += raw[i];
-    }
-  }
-  return out;
-}
-
-std::uint64_t parse_u64(const std::string& raw) {
-  std::size_t used = 0;
-  std::uint64_t value = 0;
-  try {
-    value = std::stoull(raw, &used);
-  } catch (const std::exception&) {
-    bad("not an unsigned integer: " + raw);
-  }
-  if (used != raw.size()) bad("not an unsigned integer: " + raw);
-  return value;
-}
-
-std::int64_t parse_i64(const std::string& raw) {
-  std::size_t used = 0;
-  std::int64_t value = 0;
-  try {
-    value = std::stoll(raw, &used);
-  } catch (const std::exception&) {
-    bad("not an integer: " + raw);
-  }
-  if (used != raw.size()) bad("not an integer: " + raw);
-  return value;
-}
-
-double parse_number(const std::string& raw) {
-  std::size_t used = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(raw, &used);
-  } catch (const std::exception&) {
-    bad("not a number: " + raw);
-  }
-  if (used != raw.size()) bad("not a number: " + raw);
-  return value;
-}
-
-// "[[5,2],[6,1]]" -> sparse bucket list.
-std::vector<std::pair<std::size_t, std::uint64_t>> parse_buckets(
-    const std::string& raw) {
-  std::vector<std::pair<std::size_t, std::uint64_t>> out;
-  if (raw.size() < 2 || raw.front() != '[' || raw.back() != ']') {
-    bad("expected bucket array, got: " + raw);
-  }
-  std::size_t i = 1;
-  while (i < raw.size() - 1) {
-    if (raw[i] == ',') { ++i; continue; }
-    if (raw[i] != '[') bad("expected bucket pair in: " + raw);
-    const auto comma = raw.find(',', i);
-    const auto close = raw.find(']', i);
-    if (comma == std::string::npos || close == std::string::npos ||
-        comma > close) {
-      bad("malformed bucket pair in: " + raw);
-    }
-    out.emplace_back(parse_u64(raw.substr(i + 1, comma - i - 1)),
-                     parse_u64(raw.substr(comma + 1, close - comma - 1)));
-    i = close + 1;
-  }
-  return out;
-}
-
-}  // namespace
-
-namespace {
-
-// Shared array wrapper: records joined one-per-line inside [ ].
-std::string records_to_array(const std::vector<std::string>& records) {
-  std::string out = "[\n";
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    out += records[i];
-    if (i + 1 < records.size()) out += ',';
-    out += '\n';
-  }
-  out += "]\n";
-  return out;
-}
-
-std::string bucket_array(
-    const std::vector<std::pair<std::size_t, std::uint64_t>>& buckets) {
-  std::string out = "[";
-  for (std::size_t i = 0; i < buckets.size(); ++i) {
-    if (i != 0) out += ',';
-    out += '[' + std::to_string(buckets[i].first) + ',' +
-           std::to_string(buckets[i].second) + ']';
-  }
-  out += ']';
-  return out;
+HistogramSnapshot read_hist(const json::Object& record) {
+  HistogramSnapshot h;
+  h.count = record.get<std::uint64_t>("count");
+  h.sum = record.get<double>("sum");
+  h.buckets =
+      record.get<std::vector<std::pair<std::size_t, std::uint64_t>>>("buckets");
+  return h;
 }
 
 }  // namespace
@@ -385,82 +230,50 @@ std::string snapshot_to_json(const Snapshot& snapshot) {
   if (snapshot.pid != 0 || snapshot.t_us != 0) {
     // Provenance stamps lead the sidecar; hand-built (unstamped)
     // snapshots serialize exactly as before the stamps existed.
-    records.push_back("{\"kind\":\"meta\",\"pid\":" +
-                      std::to_string(snapshot.pid) +
-                      ",\"t_us\":" + std::to_string(snapshot.t_us) + "}");
+    add_record(records, "meta", [&](json::Writer& r) {
+      r.field("pid", snapshot.pid).field("t_us", snapshot.t_us);
+    });
   }
   for (const auto& [name, value] : snapshot.counters) {
-    records.push_back("{\"kind\":\"counter\",\"name\":" + quote(name) +
-                      ",\"value\":" + std::to_string(value) + "}");
+    add_record(records, "counter", [&](json::Writer& r) {
+      r.field("name", name).field("value", value);
+    });
   }
   for (const auto& [name, value] : snapshot.gauges) {
-    records.push_back("{\"kind\":\"gauge\",\"name\":" + quote(name) +
-                      ",\"value\":" + std::to_string(value) + "}");
+    add_record(records, "gauge", [&](json::Writer& r) {
+      r.field("name", name).field("value", value);
+    });
   }
   for (const auto& [name, h] : snapshot.histograms) {
-    std::string buckets = "[";
-    for (std::size_t i = 0; i < h.buckets.size(); ++i) {
-      if (i != 0) buckets += ',';
-      buckets += '[' + std::to_string(h.buckets[i].first) + ',' +
-                 std::to_string(h.buckets[i].second) + ']';
-    }
-    buckets += ']';
-    records.push_back("{\"kind\":\"hist\",\"name\":" + quote(name) +
-                      ",\"count\":" + std::to_string(h.count) +
-                      ",\"sum\":" + format_double(h.sum) +
-                      ",\"buckets\":" + buckets + "}");
+    add_record(records, "hist",
+               [&](json::Writer& r) { write_hist(r.field("name", name), h); });
   }
-  return records_to_array(records);
+  return json::join_records(records);
 }
 
 Snapshot parse_snapshot(std::string_view text) {
+  constexpr std::string_view kContext = "parse_snapshot";
   Snapshot out;
-  std::size_t pos = 0;
-  bool saw_open = false, saw_close = false;
-  while (pos < text.size()) {
-    auto eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    // Trim whitespace and the inter-record comma.
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ' ||
-                             line.back() == ','))
-      line.remove_suffix(1);
-    while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-    if (line.empty()) continue;
-    if (line == "[") {
-      saw_open = true;
-      continue;
-    }
-    if (line == "]") {
-      saw_close = true;
-      continue;
-    }
-    if (line.front() != '{' || line.back() != '}') {
-      bad("expected one JSON object per line, got: " + std::string(line));
-    }
-    const std::string kind = parse_string(raw_field(line, "kind"));
+  for (const std::string_view line : json::split_records(text, kContext)) {
+    const json::Object record(line, kContext);
+    const std::string kind = record.get<std::string>("kind");
     if (kind == "meta") {
-      out.pid = parse_i64(raw_field(line, "pid"));
-      out.t_us = parse_u64(raw_field(line, "t_us"));
+      out.pid = record.get<long>("pid");
+      out.t_us = record.get<std::uint64_t>("t_us");
       continue;
     }
-    const std::string name = parse_string(raw_field(line, "name"));
+    const std::string name = record.get<std::string>("name");
     if (kind == "counter") {
-      out.counters[name] += parse_u64(raw_field(line, "value"));
+      out.counters[name] += record.get<std::uint64_t>("value");
     } else if (kind == "gauge") {
-      out.gauges[name] += parse_i64(raw_field(line, "value"));
+      out.gauges[name] += record.get<std::int64_t>("value");
     } else if (kind == "hist") {
-      HistogramSnapshot h;
-      h.count = parse_u64(raw_field(line, "count"));
-      h.sum = parse_number(raw_field(line, "sum"));
-      h.buckets = parse_buckets(raw_field(line, "buckets"));
-      out.histograms[name] = std::move(h);
+      out.histograms[name] = read_hist(record);
     } else {
-      bad("unknown record kind \"" + kind + "\"");
+      throw std::invalid_argument("parse_snapshot: unknown record kind \"" +
+                                  kind + "\"");
     }
   }
-  if (!saw_open || !saw_close) bad("missing enclosing [ ] array markers");
   return out;
 }
 
@@ -492,69 +305,43 @@ Snapshot merge_snapshots(const std::vector<Snapshot>& parts) {
 
 // --- Streaming time-series ---
 
-namespace {
-
-std::string tick_stamp(const DeltaTick& tick) {
-  return ",\"pid\":" + std::to_string(tick.pid) +
-         ",\"seq\":" + std::to_string(tick.seq) +
-         ",\"t_us\":" + std::to_string(tick.t_us);
-}
-
-}  // namespace
-
 std::string time_series_to_json(const std::vector<DeltaTick>& ticks) {
   std::vector<std::string> records;
   for (const auto& tick : ticks) {
-    const std::string stamp = tick_stamp(tick);
-    records.push_back("{\"kind\":\"tick\"" + stamp + "}");
+    // Every record ends with its tick's stamp.
+    const auto stamp = [&tick](json::Writer& r) {
+      r.field("pid", tick.pid).field("seq", tick.seq).field("t_us", tick.t_us);
+    };
+    add_record(records, "tick", stamp);
     for (const auto& [name, delta] : tick.counters) {
-      records.push_back("{\"kind\":\"cdelta\",\"name\":" + quote(name) +
-                        ",\"delta\":" + std::to_string(delta) + stamp + "}");
+      add_record(records, "cdelta", [&](json::Writer& r) {
+        stamp(r.field("name", name).field("delta", delta));
+      });
     }
     for (const auto& [name, value] : tick.gauges) {
-      records.push_back("{\"kind\":\"glevel\",\"name\":" + quote(name) +
-                        ",\"value\":" + std::to_string(value) + stamp + "}");
+      add_record(records, "glevel", [&](json::Writer& r) {
+        stamp(r.field("name", name).field("value", value));
+      });
     }
     for (const auto& [name, h] : tick.histograms) {
-      records.push_back("{\"kind\":\"hdelta\",\"name\":" + quote(name) +
-                        ",\"count\":" + std::to_string(h.count) +
-                        ",\"sum\":" + format_double(h.sum) +
-                        ",\"buckets\":" + bucket_array(h.buckets) + stamp +
-                        "}");
+      add_record(records, "hdelta", [&](json::Writer& r) {
+        write_hist(r.field("name", name), h);
+        stamp(r);
+      });
     }
   }
-  return records_to_array(records);
+  return json::join_records(records);
 }
 
 std::vector<DeltaTick> parse_time_series(std::string_view text) {
+  constexpr std::string_view kContext = "parse_time_series";
   std::vector<DeltaTick> out;
-  std::size_t pos = 0;
-  bool saw_open = false, saw_close = false;
-  while (pos < text.size()) {
-    auto eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = text.substr(pos, eol - pos);
-    pos = eol + 1;
-    while (!line.empty() && (line.back() == '\r' || line.back() == ' ' ||
-                             line.back() == ','))
-      line.remove_suffix(1);
-    while (!line.empty() && line.front() == ' ') line.remove_prefix(1);
-    if (line.empty()) continue;
-    if (line == "[") {
-      saw_open = true;
-      continue;
-    }
-    if (line == "]") {
-      saw_close = true;
-      continue;
-    }
-    if (line.front() != '{' || line.back() != '}') {
-      bad("expected one JSON object per line, got: " + std::string(line));
-    }
-    const std::string kind = parse_string(raw_field(line, "kind"));
-    const long pid = parse_i64(raw_field(line, "pid"));
-    const std::uint64_t seq = parse_u64(raw_field(line, "seq"));
-    const std::uint64_t t_us = parse_u64(raw_field(line, "t_us"));
+  for (const std::string_view line : json::split_records(text, kContext)) {
+    const json::Object record(line, kContext);
+    const std::string kind = record.get<std::string>("kind");
+    const long pid = record.get<long>("pid");
+    const std::uint64_t seq = record.get<std::uint64_t>("seq");
+    const std::uint64_t t_us = record.get<std::uint64_t>("t_us");
     if (kind == "tick") {
       DeltaTick tick;
       tick.pid = pid;
@@ -567,25 +354,22 @@ std::vector<DeltaTick> parse_time_series(std::string_view text) {
     // its tick; the writer keeps them contiguous, so a mismatch means a
     // corrupted or hand-spliced stream.
     if (out.empty() || out.back().pid != pid || out.back().seq != seq) {
-      bad("record outside its tick: " + std::string(line));
+      throw std::invalid_argument("parse_time_series: record outside its "
+                                  "tick: " + std::string(line));
     }
     DeltaTick& tick = out.back();
-    const std::string name = parse_string(raw_field(line, "name"));
+    const std::string name = record.get<std::string>("name");
     if (kind == "cdelta") {
-      tick.counters[name] += parse_u64(raw_field(line, "delta"));
+      tick.counters[name] += record.get<std::uint64_t>("delta");
     } else if (kind == "glevel") {
-      tick.gauges[name] = parse_i64(raw_field(line, "value"));
+      tick.gauges[name] = record.get<std::int64_t>("value");
     } else if (kind == "hdelta") {
-      HistogramSnapshot h;
-      h.count = parse_u64(raw_field(line, "count"));
-      h.sum = parse_number(raw_field(line, "sum"));
-      h.buckets = parse_buckets(raw_field(line, "buckets"));
-      tick.histograms[name] = std::move(h);
+      tick.histograms[name] = read_hist(record);
     } else {
-      bad("unknown record kind \"" + kind + "\"");
+      throw std::invalid_argument("parse_time_series: unknown record kind \"" +
+                                  kind + "\"");
     }
   }
-  if (!saw_open || !saw_close) bad("missing enclosing [ ] array markers");
   return out;
 }
 

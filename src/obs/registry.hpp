@@ -194,10 +194,10 @@ class Registry {
 //   {"kind":"hist","name":"driver.task_us","count":3,"sum":128.0,
 //    "buckets":[[5,2],[6,1]]}
 //   ]
-// so the same file loads in any JSON tool AND parses line-by-line with
-// the hand-rolled reader below (no JSON library in this codebase). The
-// "meta" record carries the snapshot stamps and is omitted for
-// unstamped snapshots, which keeps pre-stamp sidecars byte-identical.
+// so the same file loads in any JSON tool; both directions go through
+// the flat_json codec's record framing. The "meta" record carries the
+// snapshot stamps and is omitted for unstamped snapshots, which keeps
+// pre-stamp sidecars byte-identical.
 std::string snapshot_to_json(const Snapshot& snapshot);
 // Throws std::invalid_argument on malformed input.
 Snapshot parse_snapshot(std::string_view text);

@@ -11,34 +11,13 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "json/flat_json.hpp"
+
 namespace manytiers::obs {
 
 namespace {
 
 std::atomic<bool> g_trace_active{false};
-
-// Writer-controlled strings (span names, file paths); escape the JSON
-// breakers so a hostile path cannot corrupt the trace.
-std::string quote(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
 
 long next_tid() {
   static std::atomic<long> next{0};
@@ -128,52 +107,39 @@ void Tracer::push(std::string line) {
 void Tracer::begin(std::string_view name, long tid,
                    std::string_view args_json) {
   if (!active()) return;
-  std::ostringstream os;
-  os << "{\"name\":" << quote(name) << ",\"ph\":\"B\",\"ts\":" << now_us()
-     << ",\"pid\":" << impl()->pid << ",\"tid\":" << tid;
-  if (!args_json.empty()) os << ",\"args\":" << args_json;
-  os << "}";
-  push(os.str());
+  std::string event;
+  json::Writer writer(event);
+  writer.field("name", name).field("ph", "B").field("ts", now_us())
+      .field("pid", impl()->pid).field("tid", tid);
+  if (!args_json.empty()) writer.key("args") += args_json;
+  writer.close();
+  push(std::move(event));
 }
 
 void Tracer::end(long tid) {
   if (!active()) return;
-  std::ostringstream os;
-  os << "{\"ph\":\"E\",\"ts\":" << now_us() << ",\"pid\":" << impl()->pid
-     << ",\"tid\":" << tid << "}";
-  push(os.str());
+  std::string event;
+  json::Writer(event).field("ph", "E").field("ts", now_us())
+      .field("pid", impl()->pid).field("tid", tid).close();
+  push(std::move(event));
 }
 
 void Tracer::instant(std::string_view name, long tid,
                      std::string_view args_json) {
   if (!active()) return;
-  std::ostringstream os;
-  os << "{\"name\":" << quote(name)
-     << ",\"ph\":\"i\",\"s\":\"t\",\"ts\":" << now_us()
-     << ",\"pid\":" << impl()->pid << ",\"tid\":" << tid;
-  if (!args_json.empty()) os << ",\"args\":" << args_json;
-  os << "}";
-  push(os.str());
+  push(instant_event(name, now_us(), impl()->pid, tid, args_json));
 }
 
 void Tracer::complete(std::string_view name, std::uint64_t ts_us,
                       std::uint64_t dur_us, long pid, long tid,
                       std::string_view args_json) {
   if (!active()) return;
-  std::ostringstream os;
-  os << "{\"name\":" << quote(name) << ",\"ph\":\"X\",\"ts\":" << ts_us
-     << ",\"dur\":" << dur_us << ",\"pid\":" << pid << ",\"tid\":" << tid;
-  if (!args_json.empty()) os << ",\"args\":" << args_json;
-  os << "}";
-  push(os.str());
+  push(complete_event(name, ts_us, dur_us, pid, tid, args_json));
 }
 
 void Tracer::set_process_name(std::string_view name) {
   if (!active()) return;
-  std::ostringstream os;
-  os << "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" << impl()->pid
-     << ",\"tid\":0,\"args\":{\"name\":" << quote(name) << "}}";
-  push(os.str());
+  push(process_name_event(impl()->pid, name));
 }
 
 void Tracer::set_sample_every(std::uint64_t n) {
@@ -225,38 +191,52 @@ void maybe_start_trace_from_env() {
   }
 }
 
+std::string complete_event(std::string_view name, std::uint64_t ts_us,
+                           std::uint64_t dur_us, long pid, long tid,
+                           std::string_view args_json) {
+  std::string event;
+  json::Writer writer(event);
+  writer.field("name", name).field("ph", "X").field("ts", ts_us)
+      .field("dur", dur_us).field("pid", pid).field("tid", tid);
+  if (!args_json.empty()) writer.key("args") += args_json;
+  writer.close();
+  return event;
+}
+
+std::string instant_event(std::string_view name, std::uint64_t ts_us, long pid,
+                          long tid, std::string_view args_json) {
+  std::string event;
+  json::Writer writer(event);
+  writer.field("name", name).field("ph", "i").field("s", "t")
+      .field("ts", ts_us).field("pid", pid).field("tid", tid);
+  if (!args_json.empty()) writer.key("args") += args_json;
+  writer.close();
+  return event;
+}
+
+std::string process_name_event(long pid, std::string_view name) {
+  std::string event;
+  json::Writer writer(event);
+  writer.field("name", "process_name").field("ph", "M").field("pid", pid)
+      .field("tid", 0);
+  json::Writer(writer.key("args")).field("name", name).close();
+  writer.close();
+  return event;
+}
+
 std::vector<std::string> read_trace_events(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) {
     throw std::invalid_argument("read_trace_events: cannot open " + path);
   }
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+  const std::string context = "read_trace_events: " + path;
   std::vector<std::string> events;
-  std::string line;
-  bool saw_open = false, saw_close = false;
-  while (std::getline(in, line)) {
-    while (!line.empty() &&
-           (line.back() == '\r' || line.back() == ' ' || line.back() == ','))
-      line.pop_back();
-    while (!line.empty() && line.front() == ' ') line.erase(line.begin());
-    if (line.empty()) continue;
-    if (line == "[") {
-      saw_open = true;
-      continue;
-    }
-    if (line == "]") {
-      saw_close = true;
-      continue;
-    }
-    if (line.front() != '{' || line.back() != '}') {
-      throw std::invalid_argument(
-          "read_trace_events: " + path +
-          " is not a one-event-per-line trace array (bad line: " + line + ")");
-    }
-    events.push_back(std::move(line));
-  }
-  if (!saw_open || !saw_close) {
-    throw std::invalid_argument("read_trace_events: " + path +
-                                " is missing the enclosing [ ] array");
+  for (const std::string_view line : json::split_records(text, context)) {
+    const json::Object event(line, context);  // each line is one event
+    events.emplace_back(line);
   }
   return events;
 }
@@ -273,13 +253,7 @@ void write_trace_file(const std::string& path,
     if (!out) {
       throw std::runtime_error("write_trace_file: cannot open " + tmp);
     }
-    out << "[\n";
-    for (std::size_t i = 0; i < events.size(); ++i) {
-      out << events[i];
-      if (i + 1 < events.size()) out << ',';
-      out << '\n';
-    }
-    out << "]\n";
+    out << json::join_records(events);
     if (!out.good()) {
       throw std::runtime_error("write_trace_file: write failed for " + tmp);
     }

@@ -2,9 +2,9 @@
 // Perfetto (https://ui.perfetto.dev) or chrome://tracing.
 //
 // The trace file is a valid JSON array of trace events, one event per
-// line — the line discipline is what lets the orchestrator stitch
-// several workers' files into one merged timeline without a JSON
-// library (read_trace_events / write_trace_file below). Timestamps are
+// line — the flat_json record framing, which is what lets the
+// orchestrator stitch several workers' files into one merged timeline
+// line by line (read_trace_events / write_trace_file below). Timestamps are
 // microseconds on a shared wall-clock epoch (system_clock anchor +
 // steady_clock deltas), so events from different processes land on one
 // coherent timeline, and every event carries the emitting process's
@@ -117,11 +117,24 @@ class Span {
 // the hook for flagless binaries (the bench suite calls this once).
 void maybe_start_trace_from_env();
 
+// --- Event rendering (the Tracer's, and the orchestrator's own buffer) ---
+
+// One "X" complete event; `args_json` is a JSON object or empty.
+std::string complete_event(std::string_view name, std::uint64_t ts_us,
+                           std::uint64_t dur_us, long pid, long tid,
+                           std::string_view args_json = {});
+// One thread-scoped "i" instant event.
+std::string instant_event(std::string_view name, std::uint64_t ts_us, long pid,
+                          long tid, std::string_view args_json = {});
+// The "M" metadata event naming process `pid` in the track list.
+std::string process_name_event(long pid, std::string_view name);
+
 // --- Trace file stitching (the orchestrator's merge) ---
 
 // Read one trace file written by Tracer::flush (or any one-event-per-
 // line JSON array) and return the raw event object strings. Throws
-// std::invalid_argument when the file is not a line-formatted array.
+// std::invalid_argument when the file is not a line-formatted array of
+// JSON objects.
 std::vector<std::string> read_trace_events(const std::string& path);
 
 // Write raw event object strings as a valid JSON trace array.

@@ -1,45 +1,17 @@
 #include "orchestrator/events.hpp"
 
-#include <cstdio>
 #include <ostream>
+
+#include "json/flat_json.hpp"
 
 namespace manytiers::orchestrator {
 
-namespace {
-
-// The writer controls every string it emits (event types, file paths,
-// exception messages); escape the JSON-breaking characters so a hostile
-// path or message cannot produce an unparsable line.
-std::string quote(std::string_view text) {
-  std::string out = "\"";
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-}  // namespace
-
 Event::Event(std::string_view type) {
-  fields_.emplace_back("type", quote(type));
+  json::Writer(text_).field("type", type);  // closed by line()
 }
 
 Event& Event::field(std::string_view key, std::string_view value) {
-  fields_.emplace_back(std::string(key), quote(value));
+  json::write(json::write_key(text_ += ',', key), value);
   return *this;
 }
 
@@ -48,34 +20,21 @@ Event& Event::field(std::string_view key, const char* value) {
 }
 
 Event& Event::field(std::string_view key, std::size_t value) {
-  fields_.emplace_back(std::string(key), std::to_string(value));
+  json::write(json::write_key(text_ += ',', key), value);
   return *this;
 }
 
 Event& Event::field(std::string_view key, long value) {
-  fields_.emplace_back(std::string(key), std::to_string(value));
+  json::write(json::write_key(text_ += ',', key), value);
   return *this;
 }
 
 Event& Event::field(std::string_view key, double value) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.3f", value);
-  fields_.emplace_back(std::string(key), buf);
+  json::write_fixed(json::write_key(text_ += ',', key), value, 3);
   return *this;
 }
 
-std::string Event::line() const {
-  std::string out = "ORCH_JSON {";
-  for (std::size_t i = 0; i < fields_.size(); ++i) {
-    if (i != 0) out += ',';
-    out += '"';
-    out += fields_[i].first;
-    out += "\":";
-    out += fields_[i].second;
-  }
-  out += '}';
-  return out;
-}
+std::string Event::line() const { return "ORCH_JSON " + text_ + '}'; }
 
 EventLog::EventLog(std::ostream& os) : os_(&os) {}
 

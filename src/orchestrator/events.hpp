@@ -12,13 +12,11 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
-#include <utility>
-#include <vector>
 
 namespace manytiers::orchestrator {
 
 // One event under construction. Field order is preserved; values are
-// emitted as JSON strings or bare numbers.
+// emitted as JSON strings or bare numbers (doubles with 3 decimals).
 class Event {
  public:
   explicit Event(std::string_view type);
@@ -34,7 +32,7 @@ class Event {
   std::string line() const;
 
  private:
-  std::vector<std::pair<std::string, std::string>> fields_;
+  std::string text_;  // the object so far, without its closing brace
 };
 
 // Sink for events. Construct with a stream to emit (flushed per line, so

@@ -21,6 +21,7 @@
 #include <iostream>
 #include <string>
 
+#include "json/flat_json.hpp"
 #include "orchestrator/orchestrator.hpp"
 #include "util/file.hpp"
 
@@ -112,29 +113,12 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-std::uint64_t parse_u64(const std::string& text, const char* flag) {
-  std::size_t used = 0;
-  const std::uint64_t value = std::stoull(text, &used);
-  if (used != text.size()) {
-    throw std::invalid_argument(std::string(flag) + ": not a number: " + text);
-  }
-  return value;
-}
-
-// Duration and multiplier flags are doubles: "1.5" is the canonical
-// hedging multiplier, so fractional values must parse.
-double parse_double(const std::string& text, const char* flag) {
-  std::size_t used = 0;
-  double value = 0.0;
-  try {
-    value = std::stod(text, &used);
-  } catch (const std::exception&) {
-    throw std::invalid_argument(std::string(flag) + ": not a number: " + text);
-  }
-  if (used != text.size() || !(value >= 0.0) ||
-      value > 1e18) {  // !(>= 0) also rejects NaN
-    throw std::invalid_argument(std::string(flag) +
-                                ": not a non-negative number: " + text);
+// Duration and multiplier flags are doubles ("1.5" is the canonical
+// hedging multiplier): strict numbers, non-negative and finite.
+double non_negative(const std::string& text, const std::string& flag) {
+  const double value = json::parse_number<double>(text, flag);
+  if (!(value >= 0.0) || value > 1e18) {  // !(>= 0) also rejects NaN
+    throw std::invalid_argument(flag + ": not a non-negative number: " + text);
   }
   return value;
 }
@@ -160,26 +144,26 @@ int main(int argc, char** argv) {
       } else if (arg == "--grid") {
         options.grid = next();
       } else if (arg == "--workers") {
-        options.workers = parse_u64(next(), "--workers");
+        options.workers = json::parse_number<std::size_t>(next(), arg);
       } else if (arg == "--timeout-ms") {
-        options.timeout_ms = parse_double(next(), "--timeout-ms");
+        options.timeout_ms = non_negative(next(), arg);
       } else if (arg == "--heartbeat-timeout-ms") {
-        options.heartbeat_timeout_ms =
-            parse_double(next(), "--heartbeat-timeout-ms");
+        options.heartbeat_timeout_ms = non_negative(next(), arg);
       } else if (arg == "--hedge-after-ms") {
-        options.hedge_after_ms = parse_double(next(), "--hedge-after-ms");
+        options.hedge_after_ms = non_negative(next(), arg);
       } else if (arg == "--hedge-multiplier") {
-        options.hedge_multiplier = parse_double(next(), "--hedge-multiplier");
+        options.hedge_multiplier = non_negative(next(), arg);
       } else if (arg == "--resume") {
         options.resume = true;
       } else if (arg == "--per-point") {
         options.per_point = true;
       } else if (arg == "--kill-after-shards") {
-        options.kill_after_shards = parse_u64(next(), "--kill-after-shards");
+        options.kill_after_shards =
+            json::parse_number<std::size_t>(next(), arg);
       } else if (arg == "--retries") {
-        options.retries = parse_u64(next(), "--retries");
+        options.retries = json::parse_number<std::size_t>(next(), arg);
       } else if (arg == "--backoff-ms") {
-        options.backoff_ms = parse_double(next(), "--backoff-ms");
+        options.backoff_ms = non_negative(next(), arg);
       } else if (arg == "--keep-parts") {
         options.keep_parts = true;
       } else if (arg == "--out") {
@@ -189,7 +173,7 @@ int main(int argc, char** argv) {
       } else if (arg == "--worker") {
         options.worker_binary = next();
       } else if (arg == "--worker-threads") {
-        options.worker_threads = parse_u64(next(), "--worker-threads");
+        options.worker_threads = json::parse_number<std::size_t>(next(), arg);
       } else if (arg == "--event-log") {
         event_log_path = next();
       } else if (arg == "--trace") {
@@ -197,19 +181,18 @@ int main(int argc, char** argv) {
       } else if (arg == "--metrics") {
         options.metrics = true;
       } else if (arg == "--metrics-interval-ms") {
-        options.metrics_interval_ms =
-            parse_double(next(), "--metrics-interval-ms");
+        options.metrics_interval_ms = non_negative(next(), arg);
       } else if (arg == "--trace-sample") {
-        options.trace_sample = parse_u64(next(), "--trace-sample");
+        options.trace_sample = json::parse_number<std::uint64_t>(next(), arg);
       } else if (arg == "--fault") {
         options.fault = next();
       } else if (arg == "--seed") {
-        options.seed = parse_u64(next(), "--seed");
+        options.seed = json::parse_number<std::uint64_t>(next(), arg);
         options.seed_given = true;
       } else if (arg == "--n-flows") {
-        options.n_flows = parse_u64(next(), "--n-flows");
+        options.n_flows = json::parse_number<std::size_t>(next(), arg);
       } else if (arg == "--max-bundles") {
-        options.max_bundles = parse_u64(next(), "--max-bundles");
+        options.max_bundles = json::parse_number<std::size_t>(next(), arg);
       } else {
         std::cerr << "unknown option: " << arg << "\n";
         return usage(std::cerr, 2);
@@ -278,10 +261,14 @@ int main(int argc, char** argv) {
     } else {
       util::write_file_durable(out_path, result.merged);
     }
-    std::cerr << "BENCH_JSON {\"bench\":\"manytiers_orchestrate:"
-              << options.grid << "\",\"n\":" << options.workers
-              << ",\"wall_ms\":" << result.wall_ms << ",\"threads\":"
-              << options.workers << "}\n";
+    std::string line = "BENCH_JSON ";
+    json::Writer(line)
+        .field("bench", "manytiers_orchestrate:" + options.grid)
+        .field("n", options.workers)
+        .field("wall_ms", result.wall_ms)
+        .field("threads", options.workers)
+        .close();
+    std::cerr << line << '\n';
     if (result.hedge_mismatches > 0) {
       // Nondeterministic workers void the byte-identical-merge contract.
       // The report above was written (the winning parts did validate, and

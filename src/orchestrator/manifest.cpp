@@ -1,11 +1,9 @@
 #include "orchestrator/manifest.hpp"
 
-#include <cctype>
-#include <cerrno>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
+#include "json/flat_json.hpp"
 #include "util/file.hpp"
 
 namespace manytiers::orchestrator {
@@ -13,75 +11,29 @@ namespace manytiers::orchestrator {
 namespace {
 
 constexpr std::string_view kLinePrefix = "ORCH_MANIFEST ";
-
-// Same minimal field scanning as the BATCH_JSON reader: the writer never
-// emits escaped quotes or nested objects, so plain scanning is exact.
-
-std::string_view field_token(std::string_view line, std::string_view key) {
-  std::string needle;
-  needle.reserve(key.size() + 3);
-  needle += '"';
-  needle += key;
-  needle += "\":";
-  const std::size_t at = line.find(needle);
-  if (at == std::string_view::npos) {
-    throw std::invalid_argument("manifest: missing field \"" +
-                                std::string(key) + "\" in line: " +
-                                std::string(line.substr(0, 80)));
-  }
-  return line.substr(at + needle.size());
-}
-
-std::string parse_string(std::string_view line, std::string_view key) {
-  std::string_view rest = field_token(line, key);
-  if (rest.empty() || rest.front() != '"') {
-    throw std::invalid_argument("manifest: field \"" + std::string(key) +
-                                "\" is not a string");
-  }
-  rest.remove_prefix(1);
-  const std::size_t end = rest.find('"');
-  if (end == std::string_view::npos) {
-    throw std::invalid_argument("manifest: unterminated string field");
-  }
-  return std::string(rest.substr(0, end));
-}
-
-std::size_t parse_size(std::string_view line, std::string_view key) {
-  const std::string token(field_token(line, key));
-  // A garbled counter must fail loudly like every other manifest defect:
-  // silently reading 0 here would e.g. reset the spawned counter resume
-  // uses to keep attempt paths collision-free. Require the field to open
-  // with a digit (strtoull would skip whitespace and accept signs) and to
-  // parse without overflow.
-  if (token.empty() || !std::isdigit(static_cast<unsigned char>(token[0]))) {
-    throw std::invalid_argument("manifest: field \"" + std::string(key) +
-                                "\" is not a number");
-  }
-  errno = 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(token.c_str(), &end, 10);
-  if (end == token.c_str() || errno == ERANGE) {
-    throw std::invalid_argument("manifest: field \"" + std::string(key) +
-                                "\" is not a valid number: " + token);
-  }
-  return static_cast<std::size_t>(value);
-}
+constexpr std::string_view kContext = "manifest";
 
 }  // namespace
 
 std::string manifest_to_string(const Manifest& manifest) {
   std::string out;
   out += kLinePrefix;
-  out += "{\"type\":\"run\",\"grid\":\"" + manifest.grid +
-         "\",\"signature\":\"" + manifest.signature +
-         "\",\"workers\":" + std::to_string(manifest.workers) + "}\n";
+  json::Writer(out)
+      .field("type", "run")
+      .field("grid", manifest.grid)
+      .field("signature", manifest.signature)
+      .field("workers", manifest.workers)
+      .close() += '\n';
   for (std::size_t k = 0; k < manifest.shards.size(); ++k) {
     const ShardManifest& shard = manifest.shards[k];
     out += kLinePrefix;
-    out += "{\"type\":\"shard\",\"shard\":" + std::to_string(k) +
-           ",\"state\":\"" + shard.state +
-           "\",\"spawned\":" + std::to_string(shard.spawned) +
-           ",\"failures\":" + std::to_string(shard.failures) + "}\n";
+    json::Writer(out)
+        .field("type", "shard")
+        .field("shard", k)
+        .field("state", shard.state)
+        .field("spawned", shard.spawned)
+        .field("failures", shard.failures)
+        .close() += '\n';
   }
   return out;
 }
@@ -93,23 +45,23 @@ Manifest parse_manifest(std::string_view text) {
   std::string line;
   while (std::getline(is, line)) {
     if (line.rfind(kLinePrefix, 0) != 0) continue;
-    const std::string_view body =
-        std::string_view(line).substr(kLinePrefix.size());
-    const std::string type = parse_string(body, "type");
+    const json::Object record(
+        std::string_view(line).substr(kLinePrefix.size()), kContext);
+    const std::string type = record.get<std::string>("type");
     if (type == "run") {
       if (saw_run) {
         throw std::invalid_argument("manifest: duplicate run record");
       }
       saw_run = true;
-      manifest.grid = parse_string(body, "grid");
-      manifest.signature = parse_string(body, "signature");
-      manifest.workers = parse_size(body, "workers");
+      manifest.grid = record.get<std::string>("grid");
+      manifest.signature = record.get<std::string>("signature");
+      manifest.workers = record.get<std::size_t>("workers");
     } else if (type == "shard") {
       if (!saw_run) {
         throw std::invalid_argument(
             "manifest: shard record before run record");
       }
-      const std::size_t index = parse_size(body, "shard");
+      const std::size_t index = record.get<std::size_t>("shard");
       if (index != manifest.shards.size()) {
         throw std::invalid_argument(
             "manifest: shard records out of order (got " +
@@ -117,14 +69,16 @@ Manifest parse_manifest(std::string_view text) {
             std::to_string(manifest.shards.size()) + ")");
       }
       ShardManifest shard;
-      shard.state = parse_string(body, "state");
+      shard.state = record.get<std::string>("state");
       if (shard.state != "open" && shard.state != "done" &&
           shard.state != "failed") {
         throw std::invalid_argument("manifest: unknown shard state \"" +
                                     shard.state + "\"");
       }
-      shard.spawned = parse_size(body, "spawned");
-      shard.failures = parse_size(body, "failures");
+      // Strict counters: a garbled spawned count read as 0 would let a
+      // resumed run reuse an earlier attempt's part/log paths.
+      shard.spawned = record.get<std::size_t>("spawned");
+      shard.failures = record.get<std::size_t>("failures");
       manifest.shards.push_back(std::move(shard));
     } else {
       throw std::invalid_argument("manifest: unknown record type \"" + type +

@@ -18,8 +18,8 @@
 // The manifest is advisory about *completion*: resume trusts only part
 // files that re-validate through validate_part, so a manifest that says
 // "done" next to a torn part still triggers a re-run. The format is the
-// repo's one-object-per-line convention ("ORCH_MANIFEST {...}"), parsed
-// with the same minimal scanning as BATCH_JSON.
+// repo's one-object-per-line convention ("ORCH_MANIFEST {...}"), written
+// and read with the flat_json codec.
 #pragma once
 
 #include <cstddef>
@@ -44,7 +44,7 @@ struct Manifest {
 
 // Serialize / parse the ORCH_MANIFEST line format. parse_manifest throws
 // std::invalid_argument on malformed input (missing run record, shard
-// count mismatch, unknown state strings).
+// count mismatch, unknown state strings, garbled fields).
 std::string manifest_to_string(const Manifest& manifest);
 Manifest parse_manifest(std::string_view text);
 

@@ -17,6 +17,7 @@
 
 #include "driver/grid.hpp"
 #include "driver/report.hpp"
+#include "json/flat_json.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
 #include "obs/trace.hpp"
@@ -84,9 +85,7 @@ struct Shard {
 
 // Supervisor-side trace buffer. The orchestrator does NOT run through the
 // global Tracer: its atexit flush would rewrite the output file with only
-// the supervisor's events, clobbering the stitched worker timelines. All
-// names and args here are generated (digits and identifiers), so no JSON
-// escaping is needed.
+// the supervisor's events, clobbering the stitched worker timelines.
 struct TraceCollector {
   bool on = false;
   long pid = static_cast<long>(::getpid());
@@ -100,31 +99,21 @@ struct TraceCollector {
   // process track, spanning spawn -> termination of one attempt.
   void complete(const std::string& name, std::uint64_t ts_us,
                 std::uint64_t dur_us, long tid, const std::string& args_json) {
-    if (!on) return;
-    std::string e = "{\"name\":\"" + name + "\",\"ph\":\"X\",\"ts\":" +
-                    std::to_string(ts_us) + ",\"dur\":" +
-                    std::to_string(dur_us) + ",\"pid\":" +
-                    std::to_string(pid) + ",\"tid\":" + std::to_string(tid);
-    if (!args_json.empty()) e += ",\"args\":" + args_json;
-    events.push_back(e + "}");
+    if (on) {
+      events.push_back(
+          obs::complete_event(name, ts_us, dur_us, pid, tid, args_json));
+    }
   }
 
   void instant(const std::string& name, long tid,
                const std::string& args_json) {
-    if (!on) return;
-    std::string e = "{\"name\":\"" + name +
-                    "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":" +
-                    std::to_string(now_us()) + ",\"pid\":" +
-                    std::to_string(pid) + ",\"tid\":" + std::to_string(tid);
-    if (!args_json.empty()) e += ",\"args\":" + args_json;
-    events.push_back(e + "}");
+    if (on) {
+      events.push_back(obs::instant_event(name, now_us(), pid, tid, args_json));
+    }
   }
 
   void process_name(const std::string& name) {
-    if (!on) return;
-    events.push_back("{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":" +
-                     std::to_string(pid) +
-                     ",\"tid\":0,\"args\":{\"name\":\"" + name + "\"}}");
+    if (on) events.push_back(obs::process_name_event(pid, name));
   }
 };
 
@@ -341,15 +330,16 @@ Result orchestrate(const Options& options, EventLog& log) {
     if (!trace.on || attempt.span_emitted) return;
     attempt.span_emitted = true;
     const std::uint64_t now = TraceCollector::now_us();
+    std::string args;
     trace.complete(
         "shard " + std::to_string(k) + " attempt " +
             std::to_string(attempt.id) + (attempt.hedge ? " (hedge)" : ""),
         attempt.started_us,
         now > attempt.started_us ? now - attempt.started_us : 0,
         static_cast<long>(k),
-        "{\"pid\":" + std::to_string(attempt.pid) +
-            ",\"hedge\":" + (attempt.hedge ? "1" : "0") +
-            ",\"outcome\":\"" + outcome + "\"}");
+        json::Writer(args).field("pid", attempt.pid)
+            .field("hedge", attempt.hedge ? 1 : 0)
+            .field("outcome", outcome).close());
   };
 
   log.write(Event("plan")

@@ -22,12 +22,12 @@
 // 0 success, 1 runtime failure, 2 usage error.
 #include <signal.h>
 
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
 
 #include "driver/grid.hpp"
+#include "json/flat_json.hpp"
 #include "obs/registry.hpp"
 #include "obs/snapshotter.hpp"
 #include "obs/trace.hpp"
@@ -76,14 +76,11 @@ int usage(std::ostream& os, int code) {
   return code;
 }
 
-std::uint64_t parse_u64(const std::string& text, const char* flag) {
-  std::size_t pos = 0;
-  const unsigned long long v = std::stoull(text, &pos);
-  if (pos != text.size()) {
-    throw std::invalid_argument(std::string(flag) + ": not an integer: " +
-                                text);
-  }
-  return v;
+// Millisecond flags: strict numbers, non-negative, within int.
+int millis(const std::string& text, const std::string& flag) {
+  const int value = json::parse_number<int>(text, flag);
+  if (value < 0) throw std::invalid_argument(flag + ": must be >= 0");
+  return value;
 }
 
 }  // namespace
@@ -125,43 +122,42 @@ int main(int argc, char** argv) {
       } else if (arg == "--socket") {
         socket_path = next(i);
       } else if (arg == "--tcp") {
-        tcp_port = static_cast<int>(parse_u64(next(i), "--tcp"));
+        tcp_port = json::parse_number<int>(next(i), arg);
+        if (tcp_port < 0 || tcp_port > 65535) {
+          throw std::invalid_argument("--tcp: port must be in [0, 65535]");
+        }
       } else if (arg == "--threads") {
-        threads = parse_u64(next(i), "--threads");
+        threads = json::parse_number<std::size_t>(next(i), arg);
       } else if (arg == "--seed") {
-        seed = parse_u64(next(i), "--seed");
+        seed = json::parse_number<std::uint64_t>(next(i), arg);
         seed_given = true;
       } else if (arg == "--n-flows") {
-        n_flows = parse_u64(next(i), "--n-flows");
+        n_flows = json::parse_number<std::size_t>(next(i), arg);
       } else if (arg == "--max-bundles") {
-        max_bundles = parse_u64(next(i), "--max-bundles");
+        max_bundles = json::parse_number<std::size_t>(next(i), arg);
       } else if (arg == "--metrics") {
         metrics_path = next(i);
       } else if (arg == "--metrics-interval-ms") {
-        metrics_interval_ms = std::stod(next(i));
+        metrics_interval_ms = json::parse_number<double>(next(i), arg);
       } else if (arg == "--trace") {
         trace_path = next(i);
       } else if (arg == "--max-connections") {
-        options.max_connections = parse_u64(next(i), "--max-connections");
+        options.max_connections =
+            json::parse_number<std::size_t>(next(i), arg);
       } else if (arg == "--max-inflight") {
-        options.max_inflight = parse_u64(next(i), "--max-inflight");
+        options.max_inflight = json::parse_number<std::size_t>(next(i), arg);
       } else if (arg == "--shed-p99-us") {
-        options.shed_p99_us = std::stod(next(i));
+        options.shed_p99_us = json::parse_number<double>(next(i), arg);
       } else if (arg == "--request-deadline-ms") {
-        options.request_deadline_ms =
-            static_cast<int>(parse_u64(next(i), "--request-deadline-ms"));
+        options.request_deadline_ms = millis(next(i), arg);
       } else if (arg == "--idle-timeout-ms") {
-        options.idle_timeout_ms =
-            static_cast<int>(parse_u64(next(i), "--idle-timeout-ms"));
+        options.idle_timeout_ms = millis(next(i), arg);
       } else if (arg == "--frame-timeout-ms") {
-        options.frame_timeout_ms =
-            static_cast<int>(parse_u64(next(i), "--frame-timeout-ms"));
+        options.frame_timeout_ms = millis(next(i), arg);
       } else if (arg == "--write-timeout-ms") {
-        options.write_timeout_ms =
-            static_cast<int>(parse_u64(next(i), "--write-timeout-ms"));
+        options.write_timeout_ms = millis(next(i), arg);
       } else if (arg == "--drain-timeout-ms") {
-        options.drain_timeout_ms =
-            static_cast<int>(parse_u64(next(i), "--drain-timeout-ms"));
+        options.drain_timeout_ms = millis(next(i), arg);
       } else {
         std::cerr << "manytiers_serve: unknown flag " << arg << "\n";
         return usage(std::cerr, 2);
@@ -224,29 +220,39 @@ int main(int argc, char** argv) {
       snapshotter->start();
     }
 
-    std::cout << "SERVE_JSON {\"event\":\"ready\",\"grid\":\"" << grid_name
-              << "\",\"socket\":\"" << socket_path
-              << "\",\"markets\":" << server.snapshot()->markets.size()
-              << ",\"epoch\":" << server.epoch();
-    if (server.tcp_port() >= 0) {
-      std::cout << ",\"tcp_port\":" << server.tcp_port();
-    }
-    std::cout << "}" << std::endl;  // endl: supervisors wait on this line
+    // SERVE_JSON lines open with {"event":"<name>"; supervisors wait on
+    // the ready line's opening bytes. endl: each line is flushed at once.
+    const auto lifecycle = [](std::string_view event, const auto& fill) {
+      std::string line = "SERVE_JSON ";
+      json::Writer writer(line);
+      fill(writer.field("event", event));
+      std::cout << writer.close() << std::endl;
+    };
+    lifecycle("ready", [&](json::Writer& w) {
+      w.field("grid", grid_name)
+          .field("socket", socket_path)
+          .field("markets", server.snapshot()->markets.size())
+          .field("epoch", server.epoch());
+      if (server.tcp_port() >= 0) w.field("tcp_port", server.tcp_port());
+    });
 
     int sig = 0;
     while (sigwait(&mask, &sig) != 0) {
     }
     if (sig == SIGTERM) {
-      std::cout << "SERVE_JSON {\"event\":\"draining\",\"signal\":" << sig
-                << ",\"active_connections\":" << server.active_connections()
-                << ",\"drain_timeout_ms\":" << options.drain_timeout_ms << "}"
-                << std::endl;
+      lifecycle("draining", [&](json::Writer& w) {
+        w.field("signal", sig)
+            .field("active_connections", server.active_connections())
+            .field("drain_timeout_ms", options.drain_timeout_ms);
+      });
       server.drain();
-      std::cout << "SERVE_JSON {\"event\":\"drained\",\"shed\":"
-                << server.shed_total() << "}" << std::endl;
+      lifecycle("drained", [&](json::Writer& w) {
+        w.field("shed", server.shed_total());
+      });
     }
-    std::cout << "SERVE_JSON {\"event\":\"shutdown\",\"signal\":" << sig
-              << ",\"epoch\":" << server.epoch() << "}" << std::endl;
+    lifecycle("shutdown", [&](json::Writer& w) {
+      w.field("signal", sig).field("epoch", server.epoch());
+    });
     server.stop();
 
     if (snapshotter) snapshotter->stop();

@@ -3,190 +3,17 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <cctype>
 #include <cerrno>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <system_error>
+
+#include "json/flat_json.hpp"
 
 namespace manytiers::serve {
 
 namespace {
 
-std::string fmt_double(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
-}
-
-// Escape the two characters our own emitter can ever need escaped
-// (error messages echo client-supplied market names).
-std::string json_escape(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '"' || c == '\\') out += '\\';
-    if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof buf, "\\u%04x", c);
-      out += buf;
-      continue;
-    }
-    out += c;
-  }
-  return out;
-}
-
-// --- Field scanning, same discipline as the batch report reader: our
-// own writer never emits nested objects except the schedule tier array
-// (handled explicitly), so key scanning is exact on well-formed input
-// and merely throws on garbage.
-
-std::optional<std::string_view> find_field(std::string_view payload,
-                                           std::string_view key) {
-  // Stack-built needle: this runs ten times per request on the daemon's
-  // hot path, and a heap-allocated needle per field lookup was the
-  // single biggest slice of parse time.
-  char needle[32];
-  if (key.size() + 3 > sizeof needle) return std::nullopt;
-  needle[0] = '"';
-  std::memcpy(needle + 1, key.data(), key.size());
-  needle[key.size() + 1] = '"';
-  needle[key.size() + 2] = ':';
-  const std::size_t at =
-      payload.find(std::string_view(needle, key.size() + 3));
-  if (at == std::string_view::npos) return std::nullopt;
-  return payload.substr(at + key.size() + 3);
-}
-
-std::string_view require_field(std::string_view payload, std::string_view key) {
-  const auto rest = find_field(payload, key);
-  if (!rest) {
-    throw std::invalid_argument("serve protocol: missing field \"" +
-                                std::string(key) + "\"");
-  }
-  return *rest;
-}
-
-std::string parse_string_token(std::string_view rest, std::string_view key) {
-  if (rest.empty() || rest.front() != '"') {
-    throw std::invalid_argument("serve protocol: field \"" + std::string(key) +
-                                "\" is not a string");
-  }
-  rest.remove_prefix(1);
-  std::string out;
-  for (std::size_t i = 0; i < rest.size(); ++i) {
-    if (rest[i] == '\\') {
-      if (i + 1 >= rest.size()) break;
-      out += rest[++i];
-      continue;
-    }
-    if (rest[i] == '"') return out;
-    out += rest[i];
-  }
-  throw std::invalid_argument("serve protocol: unterminated string field \"" +
-                              std::string(key) + "\"");
-}
-
-std::string_view number_token(std::string_view rest, std::string_view key) {
-  std::size_t end = 0;
-  while (end < rest.size() &&
-         (std::isdigit(static_cast<unsigned char>(rest[end])) ||
-          rest[end] == '-' || rest[end] == '+' || rest[end] == '.' ||
-          rest[end] == 'e' || rest[end] == 'E' || rest[end] == 'i' ||
-          rest[end] == 'n' || rest[end] == 'f' || rest[end] == 'a')) {
-    ++end;
-  }
-  if (end == 0) {
-    throw std::invalid_argument("serve protocol: field \"" + std::string(key) +
-                                "\" is not a number");
-  }
-  return rest.substr(0, end);
-}
-
-// strtod/strtoull need NUL termination; a stack copy keeps the number
-// parsers allocation-free (%.17g tokens are at most a few dozen chars,
-// and number_token caps what can reach here).
-struct TokenBuf {
-  char data[64];
-  std::size_t size = 0;
-  bool fits(std::string_view token) {
-    if (token.size() >= sizeof data) return false;
-    std::memcpy(data, token.data(), token.size());
-    data[token.size()] = '\0';
-    size = token.size();
-    return true;
-  }
-};
-
-double parse_double_token(std::string_view rest, std::string_view key) {
-  const std::string_view token = number_token(rest, key);
-  TokenBuf buf;
-  char* end = nullptr;
-  errno = 0;
-  const double value = buf.fits(token) ? std::strtod(buf.data, &end) : 0.0;
-  if (end != buf.data + buf.size || errno == ERANGE) {
-    throw std::invalid_argument("serve protocol: field \"" + std::string(key) +
-                                "\" is not a valid number: " +
-                                std::string(token));
-  }
-  return value;
-}
-
-std::uint64_t parse_u64_token(std::string_view rest, std::string_view key) {
-  const std::string_view token = number_token(rest, key);
-  if (token.empty() || !std::isdigit(static_cast<unsigned char>(token[0]))) {
-    throw std::invalid_argument("serve protocol: field \"" + std::string(key) +
-                                "\" is not a non-negative integer: " +
-                                std::string(token));
-  }
-  TokenBuf buf;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value =
-      buf.fits(token) ? std::strtoull(buf.data, &end, 10) : 0;
-  if (end != buf.data + buf.size || errno == ERANGE) {
-    throw std::invalid_argument("serve protocol: field \"" + std::string(key) +
-                                "\" is not a valid integer: " +
-                                std::string(token));
-  }
-  return value;
-}
-
-std::int64_t parse_i64_token(std::string_view rest, std::string_view key) {
-  const std::string_view token = number_token(rest, key);
-  TokenBuf buf;
-  char* end = nullptr;
-  errno = 0;
-  const long long value = buf.fits(token) ? std::strtoll(buf.data, &end, 10) : 0;
-  if (end != buf.data + buf.size || errno == ERANGE) {
-    throw std::invalid_argument("serve protocol: field \"" + std::string(key) +
-                                "\" is not a valid integer: " +
-                                std::string(token));
-  }
-  return value;
-}
-
-std::string req_string(std::string_view payload, std::string_view key) {
-  return parse_string_token(require_field(payload, key), key);
-}
-
-std::uint64_t req_u64(std::string_view payload, std::string_view key) {
-  return parse_u64_token(require_field(payload, key), key);
-}
-
-double req_double(std::string_view payload, std::string_view key) {
-  return parse_double_token(require_field(payload, key), key);
-}
-
-bool parse_bool_token(std::string_view rest, std::string_view key) {
-  if (rest.substr(0, 4) == "true") return true;
-  if (rest.substr(0, 5) == "false") return false;
-  throw std::invalid_argument("serve protocol: field \"" + std::string(key) +
-                              "\" is not a boolean");
-}
+constexpr std::string_view kContext = "serve protocol";
 
 }  // namespace
 
@@ -214,482 +41,228 @@ QueryKind parse_query_kind(std::string_view name) {
       "\"; known: price, schedule, requote, reload, health, stats");
 }
 
+namespace {
+
+// The kinds answered from one grid cell (market, strategy, bundles).
+bool cell_query(QueryKind kind) {
+  return kind == QueryKind::Price || kind == QueryKind::Schedule ||
+         kind == QueryKind::Requote;
+}
+
+}  // namespace
+
 std::string serialize_request(const Request& request) {
-  std::string out = "{\"id\":" + std::to_string(request.id) + ",\"kind\":\"" +
-                    std::string(to_string(request.kind)) + "\"";
-  switch (request.kind) {
-    case QueryKind::Price:
-      out += ",\"market\":\"" + json_escape(request.market) +
-             "\",\"strategy\":\"" + json_escape(request.strategy) +
-             "\",\"bundles\":" + std::to_string(request.bundles) +
-             ",\"q\":" + fmt_double(request.q) +
-             ",\"d\":" + fmt_double(request.d) +
-             ",\"class\":" + std::to_string(request.cost_class);
-      break;
-    case QueryKind::Schedule:
-      out += ",\"market\":\"" + json_escape(request.market) +
-             "\",\"strategy\":\"" + json_escape(request.strategy) +
-             "\",\"bundles\":" + std::to_string(request.bundles);
-      break;
-    case QueryKind::Requote:
-      out += ",\"market\":\"" + json_escape(request.market) +
-             "\",\"strategy\":\"" + json_escape(request.strategy) +
-             "\",\"bundles\":" + std::to_string(request.bundles) +
-             ",\"flow\":" + std::to_string(request.flow);
-      break;
-    case QueryKind::Reload:
-      if (request.seed) out += ",\"seed\":" + std::to_string(*request.seed);
-      if (request.n_flows) {
-        out += ",\"n_flows\":" + std::to_string(*request.n_flows);
-      }
-      if (!request.updates.empty()) {
-        out += ",\"updates\":\"" + json_escape(request.updates) + "\"";
-      }
-      break;
-    case QueryKind::Health:
-    case QueryKind::Stats:
-      break;  // id + kind is the whole request
+  std::string out;
+  json::Writer writer(out);
+  writer.field("id", request.id).field("kind", to_string(request.kind));
+  if (cell_query(request.kind)) {
+    writer.field("market", request.market)
+        .field("strategy", request.strategy)
+        .field("bundles", request.bundles);
   }
-  out += '}';
+  if (request.kind == QueryKind::Price) {
+    writer.field("q", request.q)
+        .field("d", request.d)
+        .field("class", request.cost_class);
+  } else if (request.kind == QueryKind::Requote) {
+    writer.field("flow", request.flow);
+  } else if (request.kind == QueryKind::Reload) {
+    if (request.seed) writer.field("seed", *request.seed);
+    if (request.n_flows) writer.field("n_flows", *request.n_flows);
+    if (!request.updates.empty()) writer.field("updates", request.updates);
+  }
+  writer.close();
   return out;
 }
 
 Request parse_request(std::string_view payload) {
-  if (payload.empty() || payload.front() != '{' || payload.back() != '}') {
-    throw std::invalid_argument(
-        "serve protocol: request payload is not a JSON object");
-  }
+  const json::Object object(payload, kContext);
   Request request;
-  request.id = req_u64(payload, "id");
-  request.kind = parse_query_kind(req_string(payload, "kind"));
-  switch (request.kind) {
-    case QueryKind::Price:
-      request.market = req_string(payload, "market");
-      request.strategy = req_string(payload, "strategy");
-      request.bundles = req_u64(payload, "bundles");
-      request.q = req_double(payload, "q");
-      request.d = req_double(payload, "d");
-      request.cost_class = req_u64(payload, "class");
-      break;
-    case QueryKind::Schedule:
-      request.market = req_string(payload, "market");
-      request.strategy = req_string(payload, "strategy");
-      request.bundles = req_u64(payload, "bundles");
-      break;
-    case QueryKind::Requote:
-      request.market = req_string(payload, "market");
-      request.strategy = req_string(payload, "strategy");
-      request.bundles = req_u64(payload, "bundles");
-      request.flow = req_u64(payload, "flow");
-      break;
-    case QueryKind::Reload:
-      if (const auto rest = find_field(payload, "seed")) {
-        request.seed = parse_u64_token(*rest, "seed");
-      }
-      if (const auto rest = find_field(payload, "n_flows")) {
-        request.n_flows = parse_u64_token(*rest, "n_flows");
-      }
-      if (const auto rest = find_field(payload, "updates")) {
-        request.updates = parse_string_token(*rest, "updates");
-      }
-      break;
-    case QueryKind::Health:
-    case QueryKind::Stats:
-      break;
+  request.id = object.get<std::uint64_t>("id");
+  request.kind = parse_query_kind(object.get<std::string>("kind"));
+  if (cell_query(request.kind)) {
+    request.market = object.get<std::string>("market");
+    request.strategy = object.get<std::string>("strategy");
+    request.bundles = object.get<std::size_t>("bundles");
+  }
+  if (request.kind == QueryKind::Price) {
+    request.q = object.get<double>("q");
+    request.d = object.get<double>("d");
+    request.cost_class = object.get<std::size_t>("class");
+  } else if (request.kind == QueryKind::Requote) {
+    request.flow = object.get<std::size_t>("flow");
+  } else if (request.kind == QueryKind::Reload) {
+    request.seed = object.get_optional<std::uint64_t>("seed");
+    request.n_flows = object.get_optional<std::size_t>("n_flows");
+    request.updates = object.get_optional<std::string>("updates").value_or("");
   }
   return request;
-}
-
-// Append-style emitters for the response path: the daemon serializes a
-// response per request, so the builder avoids the temporary strings the
-// operator+ chains on the request side (client-built, once per call)
-// can afford.
-void append_u64(std::string& out, std::uint64_t v) {
-  char buf[24];
-  const int n = std::snprintf(buf, sizeof buf, "%llu",
-                              static_cast<unsigned long long>(v));
-  out.append(buf, std::size_t(n));
-}
-
-void append_double(std::string& out, double v) {
-  char buf[40];
-  const int n = std::snprintf(buf, sizeof buf, "%.17g", v);
-  out.append(buf, std::size_t(n));
-}
-
-void append_i64(std::string& out, std::int64_t v) {
-  char buf[24];
-  const int n =
-      std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-  out.append(buf, std::size_t(n));
 }
 
 std::string serialize_response(const Response& response) {
   std::string out;
   out.reserve(128 + response.tiers.size() * 128);
-  out += "{\"id\":";
-  append_u64(out, response.id);
-  out += response.ok ? ",\"ok\":true" : ",\"ok\":false";
-  out += ",\"epoch\":";
-  append_u64(out, response.epoch);
+  json::Writer writer(out);
+  writer.field("id", response.id)
+      .field("ok", response.ok)
+      .field("epoch", response.epoch);
   if (!response.ok) {
     // The stable code token first (clients branch on it), then the
     // human-readable message. An empty code serializes as bad_request so
     // every error frame carries a token.
-    out += ",\"code\":\"";
-    out += response.code.empty() ? std::string(kCodeBadRequest)
-                                 : json_escape(response.code);
-    out += "\",\"error\":\"";
-    out += json_escape(response.error);
-    out += "\"}";
-    return out;
+    writer
+        .field("code", response.code.empty() ? kCodeBadRequest
+                                             : std::string_view(response.code))
+        .field("error", response.error);
+    writer.close();
+  return out;
   }
-  out += ",\"kind\":\"";
-  out += to_string(response.kind);
-  out += '"';
+  writer.field("kind", to_string(response.kind));
   switch (response.kind) {
     case QueryKind::Price:
-      out += ",\"tier\":";
-      append_u64(out, response.tier);
-      out += ",\"price\":";
-      append_double(out, response.price);
-      out += ",\"rel_cost\":";
-      append_double(out, response.rel_cost);
-      break;
     case QueryKind::Requote:
-      out += ",\"tier\":";
-      append_u64(out, response.tier);
-      out += ",\"price\":";
-      append_double(out, response.price);
-      out += ",\"rel_cost\":";
-      append_double(out, response.rel_cost);
-      out += ",\"blended_price\":";
-      append_double(out, response.blended_price);
-      break;
-    case QueryKind::Schedule: {
-      out += ",\"capture\":";
-      if (response.capture_text.empty()) {
-        append_double(out, response.capture);
-      } else {
-        out += response.capture_text;
+      writer.field("tier", response.tier)
+          .field("price", response.price)
+          .field("rel_cost", response.rel_cost);
+      if (response.kind == QueryKind::Requote) {
+        writer.field("blended_price", response.blended_price);
       }
-      out += ",\"tiers\":[";
+      break;
+    case QueryKind::Schedule:
+      if (response.capture_text.empty()) {
+        writer.field("capture", response.capture);
+      } else {
+        writer.key("capture") += response.capture_text;
+      }
+      writer.key("tiers") += '[';
       for (std::size_t i = 0; i < response.tiers.size(); ++i) {
         const TierInfo& tier = response.tiers[i];
         if (i != 0) out += ',';
-        out += "{\"tier\":";
-        append_u64(out, i);
-        out += ",\"price\":";
-        append_double(out, tier.price);
-        out += ",\"f_lo\":";
-        append_double(out, tier.rel_cost_lo);
-        out += ",\"f_hi\":";
-        append_double(out, tier.rel_cost_hi);
-        out += ",\"flows\":";
-        append_u64(out, tier.n_flows);
-        out += ",\"demand_mbps\":";
-        append_double(out, tier.demand_mbps);
-        out += '}';
+        json::Writer(out)
+            .field("tier", i)
+            .field("price", tier.price)
+            .field("f_lo", tier.rel_cost_lo)
+            .field("f_hi", tier.rel_cost_hi)
+            .field("flows", tier.n_flows)
+            .field("demand_mbps", tier.demand_mbps)
+            .close();
       }
       out += ']';
       break;
-    }
     case QueryKind::Reload:
-      out += ",\"markets\":";
-      append_u64(out, response.markets);
-      out += ",\"recalibrated\":";
-      append_u64(out, response.recalibrated);
+      writer.field("markets", response.markets)
+          .field("recalibrated", response.recalibrated);
       break;
     case QueryKind::Health:
-      out += ",\"state\":\"";
-      out += json_escape(response.state);
-      out += "\",\"active_connections\":";
-      append_u64(out, response.active_connections);
-      out += ",\"inflight\":";
-      append_u64(out, response.inflight);
-      out += ",\"shed\":";
-      append_u64(out, response.shed);
-      out += ",\"markets\":";
-      append_u64(out, response.markets);
-      break;
-    case QueryKind::Stats: {
-      // Scalar fields first so top-level key scans can never collide
-      // with a metric name inside the arrays below.
-      out += ",\"version\":\"";
-      out += json_escape(response.version.empty()
-                             ? std::string(kProtocolVersion)
-                             : response.version);
-      out += "\",\"t_us\":";
-      append_u64(out, response.t_us);
-      out += ",\"pid\":";
-      append_i64(out, response.stats_pid);
-      out += ",\"state\":\"";
-      out += json_escape(response.state);
-      out += "\",\"active_connections\":";
-      append_u64(out, response.active_connections);
-      out += ",\"inflight\":";
-      append_u64(out, response.inflight);
-      out += ",\"shed\":";
-      append_u64(out, response.shed);
-      out += ",\"markets\":";
-      append_u64(out, response.markets);
-      out += ",\"counters\":[";
-      for (std::size_t i = 0; i < response.stats_counters.size(); ++i) {
-        if (i != 0) out += ',';
-        out += "[\"";
-        out += json_escape(response.stats_counters[i].first);
-        out += "\",";
-        append_u64(out, response.stats_counters[i].second);
-        out += ']';
+    case QueryKind::Stats:
+      if (response.kind == QueryKind::Stats) {
+        writer
+            .field("version", response.version.empty()
+                                  ? kProtocolVersion
+                                  : std::string_view(response.version))
+            .field("t_us", response.t_us)
+            .field("pid", response.stats_pid);
       }
-      out += "],\"gauges\":[";
-      for (std::size_t i = 0; i < response.stats_gauges.size(); ++i) {
-        if (i != 0) out += ',';
-        out += "[\"";
-        out += json_escape(response.stats_gauges[i].first);
-        out += "\",";
-        append_i64(out, response.stats_gauges[i].second);
-        out += ']';
-      }
-      out += "],\"hists\":[";
+      writer.field("state", response.state)
+          .field("active_connections", response.active_connections)
+          .field("inflight", response.inflight)
+          .field("shed", response.shed)
+          .field("markets", response.markets);
+      if (response.kind == QueryKind::Health) break;
+      writer.field("counters", response.stats_counters)
+          .field("gauges", response.stats_gauges);
+      writer.key("hists") += '[';
       for (std::size_t i = 0; i < response.stats_hists.size(); ++i) {
         const StatsHist& h = response.stats_hists[i];
         if (i != 0) out += ',';
-        out += "{\"name\":\"";
-        out += json_escape(h.name);
-        out += "\",\"count\":";
-        append_u64(out, h.count);
-        out += ",\"sum\":";
-        append_double(out, h.sum);
-        out += ",\"p50\":";
-        append_double(out, h.p50);
-        out += ",\"p99\":";
-        append_double(out, h.p99);
-        out += ",\"p999\":";
-        append_double(out, h.p999);
-        out += ",\"buckets\":[";
-        for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-          if (b != 0) out += ',';
-          out += '[';
-          append_u64(out, h.buckets[b].first);
-          out += ',';
-          append_u64(out, h.buckets[b].second);
-          out += ']';
-        }
-        out += "]}";
+        json::Writer(out)
+            .field("name", h.name)
+            .field("count", h.count)
+            .field("sum", h.sum)
+            .field("p50", h.p50)
+            .field("p99", h.p99)
+            .field("p999", h.p999)
+            .field("buckets", h.buckets)
+            .close();
       }
       out += ']';
       break;
-    }
   }
-  out += '}';
+  writer.close();
   return out;
 }
-
-namespace {
-
-// Scan a `[["name",V],...]` pair array (the stats counter and gauge
-// lists). `parse_value` is handed the text at the value token; the
-// token's extent comes from number_token, so both integer widths share
-// this scanner.
-template <typename Value, typename ParseValue>
-std::vector<std::pair<std::string, Value>> parse_pair_array(
-    std::string_view rest, std::string_view key, ParseValue parse_value) {
-  const auto fail = [&key](const char* why) {
-    throw std::invalid_argument("serve protocol: field \"" + std::string(key) +
-                                "\": " + why);
-  };
-  std::vector<std::pair<std::string, Value>> out;
-  if (rest.empty() || rest.front() != '[') fail("not an array");
-  rest.remove_prefix(1);
-  for (;;) {
-    while (!rest.empty() && (rest.front() == ',' || rest.front() == ' ')) {
-      rest.remove_prefix(1);
-    }
-    if (rest.empty()) fail("unterminated array");
-    if (rest.front() == ']') break;
-    if (rest.front() != '[') fail("expected [name, value] pair");
-    rest.remove_prefix(1);
-    if (rest.empty() || rest.front() != '"') fail("pair name is not a string");
-    std::string name;
-    std::size_t i = 1;
-    for (; i < rest.size() && rest[i] != '"'; ++i) {
-      if (rest[i] == '\\' && i + 1 < rest.size()) ++i;
-      name += rest[i];
-    }
-    if (i >= rest.size()) fail("unterminated pair name");
-    rest.remove_prefix(i + 1);
-    while (!rest.empty() && (rest.front() == ',' || rest.front() == ' ')) {
-      rest.remove_prefix(1);
-    }
-    const std::string_view token = number_token(rest, key);
-    out.emplace_back(std::move(name), parse_value(rest, key));
-    rest.remove_prefix(token.size());
-    while (!rest.empty() && rest.front() == ' ') rest.remove_prefix(1);
-    if (rest.empty() || rest.front() != ']') fail("unterminated pair");
-    rest.remove_prefix(1);
-  }
-  return out;
-}
-
-// Scan a stats `buckets` array: `[[b,n],...]` of unsigned pairs.
-std::vector<std::pair<std::uint64_t, std::uint64_t>> parse_bucket_pairs(
-    std::string_view rest, std::string_view key) {
-  const auto fail = [&key](const char* why) {
-    throw std::invalid_argument("serve protocol: field \"" + std::string(key) +
-                                "\": " + why);
-  };
-  std::vector<std::pair<std::uint64_t, std::uint64_t>> out;
-  if (rest.empty() || rest.front() != '[') fail("not an array");
-  rest.remove_prefix(1);
-  for (;;) {
-    while (!rest.empty() && (rest.front() == ',' || rest.front() == ' ')) {
-      rest.remove_prefix(1);
-    }
-    if (rest.empty()) fail("unterminated array");
-    if (rest.front() == ']') break;
-    if (rest.front() != '[') fail("expected [bucket, count] pair");
-    rest.remove_prefix(1);
-    const std::string_view b_tok = number_token(rest, key);
-    const std::uint64_t b = parse_u64_token(rest, key);
-    rest.remove_prefix(b_tok.size());
-    if (rest.empty() || rest.front() != ',') fail("malformed pair");
-    rest.remove_prefix(1);
-    const std::string_view n_tok = number_token(rest, key);
-    const std::uint64_t n = parse_u64_token(rest, key);
-    rest.remove_prefix(n_tok.size());
-    if (rest.empty() || rest.front() != ']') fail("unterminated pair");
-    rest.remove_prefix(1);
-    out.emplace_back(b, n);
-  }
-  return out;
-}
-
-std::vector<StatsHist> parse_stats_hists(std::string_view rest) {
-  const auto fail = [](const char* why) {
-    throw std::invalid_argument(std::string("serve protocol: field \"hists\": ") +
-                                why);
-  };
-  std::vector<StatsHist> out;
-  if (rest.empty() || rest.front() != '[') fail("not an array");
-  rest.remove_prefix(1);
-  for (;;) {
-    while (!rest.empty() && (rest.front() == ',' || rest.front() == ' ')) {
-      rest.remove_prefix(1);
-    }
-    if (rest.empty()) fail("unterminated array");
-    if (rest.front() == ']') break;
-    if (rest.front() != '{') fail("expected histogram object");
-    // Histogram objects are flat (the buckets array nests only
-    // brackets), so the first '}' closes the object.
-    const std::size_t close = rest.find('}');
-    if (close == std::string_view::npos) fail("unterminated object");
-    const std::string_view h_text = rest.substr(0, close + 1);
-    StatsHist h;
-    h.name = req_string(h_text, "name");
-    h.count = req_u64(h_text, "count");
-    h.sum = req_double(h_text, "sum");
-    h.p50 = req_double(h_text, "p50");
-    h.p99 = req_double(h_text, "p99");
-    h.p999 = req_double(h_text, "p999");
-    h.buckets = parse_bucket_pairs(require_field(h_text, "buckets"), "buckets");
-    out.push_back(std::move(h));
-    rest.remove_prefix(close + 1);
-  }
-  return out;
-}
-
-}  // namespace
 
 Response parse_response(std::string_view payload) {
-  if (payload.empty() || payload.front() != '{' || payload.back() != '}') {
-    throw std::invalid_argument(
-        "serve protocol: response payload is not a JSON object");
-  }
+  const json::Object object(payload, kContext);
   Response response;
-  response.id = req_u64(payload, "id");
-  response.ok = parse_bool_token(require_field(payload, "ok"), "ok");
-  response.epoch = req_u64(payload, "epoch");
+  response.id = object.get<std::uint64_t>("id");
+  response.ok = object.get<bool>("ok");
+  response.epoch = object.get<std::uint64_t>("epoch");
   if (!response.ok) {
-    response.error = req_string(payload, "error");
+    response.error = object.get<std::string>("error");
     // Optional for wire-compat with pre-v1.1 error frames.
-    if (const auto rest = find_field(payload, "code")) {
-      response.code = parse_string_token(*rest, "code");
-    }
+    response.code = object.get_optional<std::string>("code").value_or("");
     return response;
   }
-  response.kind = parse_query_kind(req_string(payload, "kind"));
+  response.kind = parse_query_kind(object.get<std::string>("kind"));
   switch (response.kind) {
     case QueryKind::Price:
-      response.tier = req_u64(payload, "tier");
-      response.price = req_double(payload, "price");
-      response.rel_cost = req_double(payload, "rel_cost");
-      break;
     case QueryKind::Requote:
-      response.tier = req_u64(payload, "tier");
-      response.price = req_double(payload, "price");
-      response.rel_cost = req_double(payload, "rel_cost");
-      response.blended_price = req_double(payload, "blended_price");
-      break;
-    case QueryKind::Schedule: {
-      const std::string_view capture_rest = require_field(payload, "capture");
-      response.capture_text =
-          std::string(number_token(capture_rest, "capture"));
-      response.capture = parse_double_token(capture_rest, "capture");
-      // Tier objects parse one by one; each is flat, so scanning within
-      // the braces of each element is exact.
-      std::string_view rest = require_field(payload, "tiers");
-      if (rest.empty() || rest.front() != '[') {
-        throw std::invalid_argument(
-            "serve protocol: field \"tiers\" is not an array");
-      }
-      rest.remove_prefix(1);
-      while (!rest.empty() && rest.front() == '{') {
-        const std::size_t close = rest.find('}');
-        if (close == std::string_view::npos) {
-          throw std::invalid_argument(
-              "serve protocol: unterminated tier object");
-        }
-        const std::string_view tier_text = rest.substr(0, close + 1);
-        TierInfo tier;
-        tier.price = req_double(tier_text, "price");
-        tier.rel_cost_lo = req_double(tier_text, "f_lo");
-        tier.rel_cost_hi = req_double(tier_text, "f_hi");
-        tier.n_flows = req_u64(tier_text, "flows");
-        tier.demand_mbps = req_double(tier_text, "demand_mbps");
-        response.tiers.push_back(tier);
-        rest.remove_prefix(close + 1);
-        if (!rest.empty() && rest.front() == ',') rest.remove_prefix(1);
+      response.tier = object.get<std::size_t>("tier");
+      response.price = object.get<double>("price");
+      response.rel_cost = object.get<double>("rel_cost");
+      if (response.kind == QueryKind::Requote) {
+        response.blended_price = object.get<double>("blended_price");
       }
       break;
-    }
+    case QueryKind::Schedule:
+      response.capture = object.get<double>("capture");
+      response.capture_text = std::string(object.at("capture").text());
+      object.for_each_object("tiers", [&](const json::Object& tier) {
+        response.tiers.push_back({tier.get<double>("price"),
+                                  tier.get<double>("f_lo"),
+                                  tier.get<double>("f_hi"),
+                                  tier.get<std::size_t>("flows"),
+                                  tier.get<double>("demand_mbps")});
+      });
+      break;
     case QueryKind::Reload:
-      response.markets = req_u64(payload, "markets");
-      response.recalibrated = req_u64(payload, "recalibrated");
+      response.markets = object.get<std::size_t>("markets");
+      response.recalibrated = object.get<std::size_t>("recalibrated");
       break;
     case QueryKind::Health:
-      response.state = req_string(payload, "state");
-      response.active_connections = req_u64(payload, "active_connections");
-      response.inflight = req_u64(payload, "inflight");
-      response.shed = req_u64(payload, "shed");
-      response.markets = req_u64(payload, "markets");
+    case QueryKind::Stats:
+      if (response.kind == QueryKind::Stats) {
+        response.version = object.get<std::string>("version");
+        response.t_us = object.get<std::uint64_t>("t_us");
+        response.stats_pid = object.get<std::int64_t>("pid");
+      }
+      response.state = object.get<std::string>("state");
+      response.active_connections =
+          object.get<std::uint64_t>("active_connections");
+      response.inflight = object.get<std::uint64_t>("inflight");
+      response.shed = object.get<std::uint64_t>("shed");
+      response.markets = object.get<std::size_t>("markets");
+      if (response.kind == QueryKind::Health) break;
+      response.stats_counters =
+          object.get<std::vector<std::pair<std::string, std::uint64_t>>>(
+              "counters");
+      response.stats_gauges =
+          object.get<std::vector<std::pair<std::string, std::int64_t>>>(
+              "gauges");
+      object.for_each_object("hists", [&](const json::Object& hist) {
+        StatsHist& h = response.stats_hists.emplace_back();
+        h.name = hist.get<std::string>("name");
+        h.count = hist.get<std::uint64_t>("count");
+        h.sum = hist.get<double>("sum");
+        h.p50 = hist.get<double>("p50");
+        h.p99 = hist.get<double>("p99");
+        h.p999 = hist.get<double>("p999");
+        h.buckets =
+            hist.get<std::vector<std::pair<std::uint64_t, std::uint64_t>>>(
+                "buckets");
+      });
       break;
-    case QueryKind::Stats: {
-      response.version = req_string(payload, "version");
-      response.t_us = req_u64(payload, "t_us");
-      response.stats_pid = parse_i64_token(require_field(payload, "pid"), "pid");
-      response.state = req_string(payload, "state");
-      response.active_connections = req_u64(payload, "active_connections");
-      response.inflight = req_u64(payload, "inflight");
-      response.shed = req_u64(payload, "shed");
-      response.markets = req_u64(payload, "markets");
-      response.stats_counters = parse_pair_array<std::uint64_t>(
-          require_field(payload, "counters"), "counters", parse_u64_token);
-      response.stats_gauges = parse_pair_array<std::int64_t>(
-          require_field(payload, "gauges"), "gauges", parse_i64_token);
-      response.stats_hists = parse_stats_hists(require_field(payload, "hists"));
-      break;
-    }
   }
   return response;
 }

@@ -9,11 +9,11 @@
 // error instead of an unbounded allocation.
 //
 // Requests are flat JSON objects; responses are flat except for the
-// schedule query's tier array. Both are written and parsed by the same
-// hand-rolled scanners the batch report format uses (no JSON library in
-// this codebase), and every numeric response field is emitted with
-// %.17g so responses round-trip exactly — the determinism test
-// byte-compares serve responses against batch-driver output.
+// schedule query's tier array and the stats lists. Both are written and
+// read with the flat_json codec: field order is free, unknown fields are
+// skipped, a garbled field is an error, and every double round-trips
+// exactly — the determinism test byte-compares serve responses against
+// batch-driver output.
 //
 // Query kinds:
 //   price    — quote a new (q, d, class) flow under a market/strategy/
@@ -115,7 +115,7 @@ struct Request {
 
 std::string serialize_request(const Request& request);
 // Throws std::invalid_argument on malformed payloads (missing or
-// ill-typed fields, unknown kind, trailing garbage in numbers).
+// ill-typed fields, unknown kind, garbage anywhere in the object).
 Request parse_request(std::string_view payload);
 
 // One pricing tier of a schedule response: the bundle price and the
@@ -157,7 +157,7 @@ struct Response {
   double blended_price = 0.0;  // requote: the market's P0 for comparison
   // schedule:
   double capture = 0.0;
-  std::string capture_text;  // exact %.17g token (byte-compare hook)
+  std::string capture_text;  // exact number token (byte-compare hook)
   std::vector<TierInfo> tiers;
   // reload:
   std::size_t markets = 0;  // markets served by the new snapshot

@@ -24,6 +24,7 @@
 #include <string>
 #include <thread>
 
+#include "json/flat_json.hpp"
 #include "serve/client.hpp"
 
 namespace {
@@ -81,11 +82,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--socket") {
         socket_path = next(i);
       } else if (arg == "--retry-ms") {
-        retry_ms = std::stoi(next(i));
+        retry_ms = json::parse_number<int>(next(i), arg);
       } else if (arg == "--timeout-ms") {
-        timeout_ms = std::stoi(next(i));
+        timeout_ms = json::parse_number<int>(next(i), arg);
       } else if (arg == "--overload-retries") {
-        overload_retries = std::stoi(next(i));
+        overload_retries = json::parse_number<int>(next(i), arg);
       } else if (arg == "--raw") {
         raw = next(i);
       } else if (arg == "--market") {
@@ -93,19 +94,19 @@ int main(int argc, char** argv) {
       } else if (arg == "--strategy") {
         request.strategy = next(i);
       } else if (arg == "--bundles") {
-        request.bundles = std::stoul(next(i));
+        request.bundles = json::parse_number<std::size_t>(next(i), arg);
       } else if (arg == "--q") {
-        request.q = std::stod(next(i));
+        request.q = json::parse_number<double>(next(i), arg);
       } else if (arg == "--d") {
-        request.d = std::stod(next(i));
+        request.d = json::parse_number<double>(next(i), arg);
       } else if (arg == "--class") {
-        request.cost_class = std::stoul(next(i));
+        request.cost_class = json::parse_number<std::size_t>(next(i), arg);
       } else if (arg == "--flow") {
-        request.flow = std::stoul(next(i));
+        request.flow = json::parse_number<std::size_t>(next(i), arg);
       } else if (arg == "--seed") {
-        request.seed = std::stoull(next(i));
+        request.seed = json::parse_number<std::uint64_t>(next(i), arg);
       } else if (arg == "--n-flows") {
-        request.n_flows = std::stoul(next(i));
+        request.n_flows = json::parse_number<std::size_t>(next(i), arg);
       } else if (arg == "--updates") {
         request.updates = next(i);
       } else if (!arg.empty() && arg[0] != '-') {

@@ -33,6 +33,7 @@
 #include <thread>
 #include <vector>
 
+#include "json/flat_json.hpp"
 #include "obs/registry.hpp"
 #include "serve/client.hpp"
 
@@ -193,11 +194,11 @@ int main(int argc, char** argv) {
       } else if (arg == "--socket") {
         socket_path = next(i);
       } else if (arg == "--interval-ms") {
-        interval_ms = std::stoi(next(i));
+        interval_ms = json::parse_number<int>(next(i), arg);
       } else if (arg == "--iterations") {
-        iterations = std::stol(next(i));
+        iterations = json::parse_number<long>(next(i), arg);
       } else if (arg == "--retry-ms") {
-        retry_ms = std::stoi(next(i));
+        retry_ms = json::parse_number<int>(next(i), arg);
       } else if (arg == "--raw") {
         raw = true;
       } else {

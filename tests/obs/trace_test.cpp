@@ -10,6 +10,7 @@
 
 #include "driver/grid.hpp"
 #include "driver/runner.hpp"
+#include "json/flat_json.hpp"
 #include "obs/registry.hpp"
 
 namespace manytiers::obs {
@@ -37,20 +38,11 @@ TEST(TraceFile, ReadRejectsNonArrayFiles) {
                std::invalid_argument);
 }
 
-// Pull "key":<value> out of a one-line JSON event. Good enough for the
-// generated events under test (no nested objects in the probed keys).
+// The raw value text of `key` in one event ("" when absent).
 std::string field(const std::string& event, const std::string& key) {
-  const std::string needle = "\"" + key + "\":";
-  const auto at = event.find(needle);
-  if (at == std::string::npos) return {};
-  std::size_t start = at + needle.size();
-  std::size_t end = start;
-  if (event[start] == '"') {
-    end = event.find('"', start + 1) + 1;
-  } else {
-    while (end < event.size() && event[end] != ',' && event[end] != '}') ++end;
-  }
-  return event.substr(start, end - start);
+  const json::Object object(event);
+  const json::Value* value = object.find(key);
+  return value == nullptr ? std::string() : std::string(value->text());
 }
 
 // One test, deliberately ordered inside a single body: Tracer::start is

@@ -1,4 +1,5 @@
-// Test-side parser for the ORCH_JSON event-log line format.
+// Test-side parser for the ORCH_JSON event-log line format, on the
+// flat_json codec.
 //
 // This is the consumer contract for the "v" schema-version field on plan
 // events: v1 readers accept v1 logs (and unversioned pre-v1 logs, which
@@ -14,7 +15,10 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "json/flat_json.hpp"
 
 namespace manytiers::orchestrator::test {
 
@@ -40,62 +44,22 @@ struct ParsedEvent {
 // structurally broken lines and on plan events with an unsupported
 // major schema version.
 inline ParsedEvent parse_event_line(const std::string& line) {
-  std::string body = line;
-  const std::string prefix = "ORCH_JSON ";
-  if (body.rfind(prefix, 0) == 0) body = body.substr(prefix.size());
-  while (!body.empty() && (body.back() == '\n' || body.back() == '\r')) {
-    body.pop_back();
+  std::string_view body = line;
+  const std::string_view prefix = "ORCH_JSON ";
+  if (body.substr(0, prefix.size()) == prefix) {
+    body.remove_prefix(prefix.size());
   }
-  if (body.size() < 2 || body.front() != '{' || body.back() != '}') {
-    throw std::invalid_argument("not an ORCH_JSON object line: " + line);
-  }
+  const json::Object object(body, "ORCH_JSON");
 
   ParsedEvent event;
-  std::size_t i = 1;
-  const auto fail = [&](const char* what) {
-    throw std::invalid_argument(std::string("bad ORCH_JSON line (") + what +
-                                "): " + line);
-  };
-  while (i < body.size() - 1) {
-    if (body[i] == ',') ++i;
-    if (body[i] != '"') fail("expected key");
-    const std::size_t key_end = body.find('"', i + 1);
-    if (key_end == std::string::npos) fail("unterminated key");
-    const std::string key = body.substr(i + 1, key_end - i - 1);
-    if (key_end + 1 >= body.size() || body[key_end + 1] != ':') {
-      fail("expected ':'");
-    }
-    std::size_t value_start = key_end + 2;
-    std::size_t value_end = value_start;
-    if (value_start < body.size() && body[value_start] == '"') {
-      // String value; the Event emitter escapes quotes as \".
-      value_end = value_start + 1;
-      while (value_end < body.size() && body[value_end] != '"') {
-        value_end += body[value_end] == '\\' ? 2 : 1;
-      }
-      if (value_end >= body.size()) fail("unterminated string value");
-      ++value_end;  // include the closing quote
-    } else {
-      while (value_end < body.size() - 1 && body[value_end] != ',') {
-        ++value_end;
-      }
-    }
-    event.fields[key] = body.substr(value_start, value_end - value_start);
-    i = value_end;
+  for (const auto& field : object) {
+    event.fields[field.name()] = std::string(field.value.text());
   }
-  const auto type_it = event.fields.find("type");
-  if (type_it == event.fields.end() || type_it->second.size() < 2) {
-    fail("missing type");
-  }
-  event.type = type_it->second.substr(1, type_it->second.size() - 2);
-
+  event.type = object.get<std::string>("type");
   if (event.type == "plan") {
     // Unversioned plan events predate "v" and mean v1.
-    std::size_t version = 1;
-    if (event.has("v")) {
-      std::istringstream in(event.at("v"));
-      if (!(in >> version)) fail("non-numeric \"v\"");
-    }
+    const std::size_t version =
+        object.get_optional<std::size_t>("v").value_or(1);
     if (version > kSupportedOrchSchemaVersion) {
       throw std::invalid_argument(
           "unsupported ORCH_JSON schema version " + std::to_string(version) +

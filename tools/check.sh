@@ -3,8 +3,8 @@
 #
 #   tools/check.sh            # full build + full ctest + bench gates +
 #                             # serve smoke (incl. live stats polls), then
-#                             # ASan+UBSan build +
-#                             # `ctest -L "obs|orchestrator|serve|netdyn|topology"`,
+#                             # ASan+UBSan build + `ctest -L
+#                             # "obs|orchestrator|serve|netdyn|topology|driver|json"`,
 #                             # then TSan build +
 #                             # `ctest -L "obs|parallel|serve|netdyn"`
 #   tools/check.sh --fast     # skip both sanitizer legs
@@ -160,17 +160,18 @@ cmake -S "$repo" -B "$repo/build-asan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMANYTIERS_SANITIZE=ON
 cmake --build "$repo/build-asan" -j "$jobs"
 
-echo "== sanitizers: ctest -L \"obs|orchestrator|serve|netdyn|topology\" =="
+echo "== sanitizers: ctest -L \"obs|orchestrator|serve|netdyn|topology|driver|json\" =="
 # netdyn joins the leg because incremental-repair bookkeeping (cone
 # resets, tombstone rows, matrix growth) is exactly where an
 # out-of-bounds row index would hide behind a passing value check;
 # topology rides along as its dependency surface. obs joins for the
-# streaming layer: the hand-rolled series parser and the snapshotter's
-# temp+rename writer are byte-level code ASan should see.
+# streaming layer's temp+rename writer. Every parser runs here: driver
+# brings the BATCH_JSON reader, its golden and driver_smoke, and json
+# the flat_json codec with every format's seeded-mutation round trips.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ASAN_OPTIONS="detect_leaks=0" \
   ctest --test-dir "$repo/build-asan" \
-    -L "obs|orchestrator|serve|netdyn|topology" \
+    -L "obs|orchestrator|serve|netdyn|topology|driver|json" \
     --output-on-failure -j "$jobs"
 
 echo "== sanitizers: TSan build =="
