@@ -1,10 +1,12 @@
 #include "driver/grid.hpp"
 
 #include <algorithm>
+#include <iostream>
 #include <span>
 #include <stdexcept>
 
 #include "json/flat_json.hpp"
+#include "util/cli.hpp"
 
 namespace manytiers::driver {
 
@@ -310,6 +312,42 @@ ExperimentGrid named_grid(std::string_view name) {
 
 std::vector<std::string_view> grid_names() {
   return {"smoke", "default", "alpha-sweep", "costmodels"};
+}
+
+ExperimentGrid GridChoice::resolve() const {
+  ExperimentGrid out = named_grid(grid);
+  if (seed_given) out.base.seed = seed;
+  if (n_flows != 0) out.base.n_flows = n_flows;
+  if (max_bundles != 0) out.max_bundles = max_bundles;
+  return out;
+}
+
+std::vector<std::string> GridChoice::args() const {
+  std::vector<std::string> out{"--grid", grid};
+  if (seed_given) out.insert(out.end(), {"--seed", std::to_string(seed)});
+  if (n_flows != 0) {
+    out.insert(out.end(), {"--n-flows", std::to_string(n_flows)});
+  }
+  if (max_bundles != 0) {
+    out.insert(out.end(), {"--max-bundles", std::to_string(max_bundles)});
+  }
+  return out;
+}
+
+void GridChoice::add_to(cli::Flags& flags) {
+  flags.value("--grid", "NAME", "named grid (default \"" + grid + "\")", grid)
+      .action("--list-grids", "print the known grid names and exit",
+              [] {
+                for (const auto name : grid_names()) std::cout << name << '\n';
+              })
+      .value("--seed", "S", "dataset seed override",
+             [this](std::string_view flag, std::string_view text) {
+               seed = json::parse_number<std::uint64_t>(text, flag);
+               seed_given = true;
+             })
+      .value("--n-flows", "N", "flows per dataset override", n_flows)
+      .value("--max-bundles", "B", "bundle-count ceiling override",
+             max_bundles);
 }
 
 }  // namespace manytiers::driver

@@ -20,6 +20,10 @@
 #include "pricing/counterfactual.hpp"
 #include "workload/generators.hpp"
 
+namespace manytiers::cli {
+class Flags;
+}  // namespace manytiers::cli
+
 namespace manytiers::driver {
 
 // Cost model families a grid can request; theta comes from BaseParams.
@@ -102,5 +106,22 @@ ExperimentGrid alpha_sweep_grid(); // Fig. 14-shaped robustness envelope
 ExperimentGrid costmodels_grid();  // all four cost models (Figs. 10-13)
 ExperimentGrid named_grid(std::string_view name);  // throws on unknown
 std::vector<std::string_view> grid_names();
+
+// A named grid plus the overrides the CLIs' grid group sets; 0 / unset
+// keeps the grid's own value.
+struct GridChoice {
+  std::string grid = "default";
+  std::uint64_t seed = 0;
+  bool seed_given = false;
+  std::size_t n_flows = 0;
+  std::size_t max_bundles = 0;
+
+  // named_grid(grid) with the overrides applied.
+  ExperimentGrid resolve() const;
+  // The same choice as flags, for a child process.
+  std::vector<std::string> args() const;
+  // --grid, --list-grids, --seed, --n-flows, --max-bundles.
+  void add_to(cli::Flags& flags);
+};
 
 }  // namespace manytiers::driver

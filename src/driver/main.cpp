@@ -33,64 +33,22 @@
 #include "driver/report.hpp"
 #include "driver/runner.hpp"
 #include "json/flat_json.hpp"
-#include "obs/registry.hpp"
-#include "obs/snapshotter.hpp"
 #include "obs/trace.hpp"
+#include "util/cli.hpp"
 #include "util/file.hpp"
 
 namespace {
 
 using namespace manytiers;
 
-int usage(std::ostream& os, int code) {
-  os << "usage: manytiers_batch [options]\n"
-        "  --grid NAME          grid to run (default \"default\")\n"
-        "  --list-grids         print known grid names and exit\n"
-        "  --threads N          worker threads (0 = MANYTIERS_THREADS / "
-        "hardware)\n"
-        "  --shard-index I      run only shard I (requires --shard-count)\n"
-        "  --shard-count K      total number of shards (default 1)\n"
-        "  --shards K           run all K shards in-process, then merge\n"
-        "  --merge F1 F2 ...    merge partial shard reports instead of "
-        "running\n"
-        "  --out PATH           write the report to PATH (default stdout); "
-        "the\n"
-        "                       file appears atomically (fsync + rename)\n"
-        "  --no-timing          omit wall-clock fields (byte-stable output)\n"
-        "  --per-point          schema v2: store per-point capture vectors\n"
-        "                       (one \"point\" record per parameter point)\n"
-        "  --heartbeat PATH     touch PATH periodically while computing, so "
-        "a\n"
-        "                       supervisor can tell slow from hung\n"
-        "  --heartbeat-interval-ms N   beat period (default 100)\n"
-        "  --trace PATH         write a Chrome-trace-event JSON timeline to\n"
-        "                       PATH (Perfetto-loadable; MANYTIERS_TRACE is\n"
-        "                       the flagless equivalent). Never changes the\n"
-        "                       report bytes.\n"
-        "  --metrics PATH       write an obs-registry metrics sidecar\n"
-        "                       (counters/gauges/histograms, one JSON record\n"
-        "                       per line) to PATH after the report\n"
-        "  --metrics-interval-ms N  also stream delta snapshots every N ms\n"
-        "                       to the PATH-derived .series.json (requires\n"
-        "                       --metrics); flushed heartbeat-style during\n"
-        "                       the run, never changes the report bytes\n"
-        "  --trace-sample N     keep 1/N of per-task sweep spans (hash-based\n"
-        "                       and deterministic across shard processes);\n"
-        "                       lifecycle spans are always kept (0/1 = all)\n"
-        "  --seed S             dataset seed override\n"
-        "  --n-flows N          flows per dataset override\n"
-        "  --max-bundles B      bundle-count ceiling override\n"
-        "exit codes:\n"
-        "  0  success\n"
-        "  1  runtime failure (grid evaluation, merge, or report IO)\n"
-        "  2  usage error (bad flags, unknown grid, malformed "
-        "MANYTIERS_FAULT)\n"
-        "test hooks: MANYTIERS_FAULT=kind:shard[:times],... with kind in\n"
-        "  {crash, stall, slow, corrupt, partial} injects deterministic\n"
-        "  worker faults (slow takes a duration: slow:shard:ms[:times]);\n"
-        "  MANYTIERS_FAULT_ATTEMPT gates specs to retry attempts < times.\n";
-  return code;
-}
+constexpr const char* kFooter =
+    "exit codes: 0 success, 1 runtime failure (grid evaluation, merge, or\n"
+    "  report IO), 2 usage error (bad flags, unknown grid, malformed\n"
+    "  MANYTIERS_FAULT)\n"
+    "test hooks: MANYTIERS_FAULT=kind:shard[:times],... with kind in\n"
+    "  {crash, stall, slow, corrupt, partial} injects deterministic\n"
+    "  worker faults (slow takes a duration: slow:shard:ms[:times]);\n"
+    "  MANYTIERS_FAULT_ATTEMPT gates specs to retry attempts < times.\n";
 
 // Liveness beacon: touches the heartbeat file on an interval from a
 // background thread for as long as the object lives. The supervisor
@@ -138,141 +96,89 @@ class Heartbeat {
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string grid_name = "default";
+  driver::GridChoice choice;
+  cli::ObsFlags obs_flags;
   std::string out_path;
   std::vector<std::string> merge_inputs;
   bool merge_mode = false;
-  bool include_timing = true;
+  bool no_timing = false;
+  bool per_point = false;
   std::size_t threads = 0;
   std::size_t shards_in_process = 0;
-  driver::ShardPlan shard;
-  bool shard_index_given = false;
-  bool per_point = false;
+  std::optional<std::size_t> shard_index;
+  std::size_t shard_count = 1;
   std::string heartbeat_path;
   double heartbeat_interval_ms = 100.0;
-  std::string trace_path;
   std::uint64_t trace_sample = 0;
-  std::string metrics_path;
-  double metrics_interval_ms = 0.0;
-  std::uint64_t seed = 0;
-  bool seed_given = false;
-  std::size_t n_flows = 0;
-  std::size_t max_bundles = 0;
 
-  // Phase 1 — argument parsing, grid resolution, and the fault-plan
-  // environment. Any failure here is a usage error: exit 2.
+  // Phase 1 — flags, grid resolution, and the fault-plan environment.
+  // Any failure here is a usage error: exit 2.
   driver::ExperimentGrid grid;
   driver::FaultPlan fault_plan;
-  try {
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      const auto next = [&]() -> std::string {
-        if (i + 1 >= argc) {
-          throw std::invalid_argument(arg + " requires a value");
+  cli::Flags flags("manytiers_batch", "[options] [--merge F1 F2 ...]",
+                   kFooter);
+  choice.add_to(flags);
+  flags
+      .value("--threads", "N",
+             "worker threads (0 = MANYTIERS_THREADS / hardware)", threads)
+      .value("--shard-index", "I", "run only shard I of --shard-count",
+             shard_index)
+      .value("--shard-count", "K", "total number of shards (default 1)",
+             shard_count)
+      .value("--shards", "K", "run all K shards in-process, then merge",
+             shards_in_process)
+      .toggle("--merge", "merge the partial reports that follow, not run",
+              merge_mode)
+      .value("--out", "PATH",
+             "write the report atomically to PATH (default stdout)", out_path)
+      .toggle("--no-timing", "omit wall-clock fields (byte-stable output)",
+              no_timing)
+      .toggle("--per-point", "schema v2: one \"point\" record per point",
+              per_point)
+      .value("--heartbeat", "PATH",
+             "touch PATH periodically while computing (liveness)",
+             heartbeat_path)
+      .value("--heartbeat-interval-ms", "N", "beat period (default 100)",
+             cli::millis(heartbeat_interval_ms, 1.0))
+      .value("--trace-sample", "N",
+             "keep 1/N per-task sweep spans, same set in every shard",
+             trace_sample)
+      .positional([&](std::string_view file) {
+        if (!merge_mode) {
+          throw std::invalid_argument(std::string(file) +
+                                      ": unexpected argument");
         }
-        return argv[++i];
-      };
-      if (arg == "--help" || arg == "-h") {
-        return usage(std::cout, 0);
-      } else if (arg == "--list-grids") {
-        for (const auto name : driver::grid_names()) {
-          std::cout << name << '\n';
+        merge_inputs.emplace_back(file);
+      })
+      .check([&] {
+        if (merge_mode && (shards_in_process != 0 || shard_index)) {
+          throw std::invalid_argument(
+              "--merge: cannot be combined with --shards or --shard-index");
         }
-        return 0;
-      } else if (arg == "--grid") {
-        grid_name = next();
-      } else if (arg == "--threads") {
-        threads = json::parse_number<std::size_t>(next(), arg);
-      } else if (arg == "--shard-index") {
-        shard.index = json::parse_number<std::size_t>(next(), arg);
-        shard_index_given = true;
-      } else if (arg == "--shard-count") {
-        shard.count = json::parse_number<std::size_t>(next(), arg);
-      } else if (arg == "--shards") {
-        shards_in_process = json::parse_number<std::size_t>(next(), arg);
-      } else if (arg == "--merge") {
-        merge_mode = true;
-      } else if (arg == "--out") {
-        out_path = next();
-      } else if (arg == "--no-timing") {
-        include_timing = false;
-      } else if (arg == "--per-point") {
-        per_point = true;
-      } else if (arg == "--heartbeat") {
-        heartbeat_path = next();
-      } else if (arg == "--heartbeat-interval-ms") {
-        heartbeat_interval_ms = static_cast<double>(
-            json::parse_number<std::uint64_t>(next(), arg));
-        if (heartbeat_interval_ms <= 0.0) {
-          throw std::invalid_argument("--heartbeat-interval-ms must be >= 1");
+        if (shards_in_process != 0 && shard_index) {
+          throw std::invalid_argument(
+              "--shards: in-process shards conflict with --shard-index");
         }
-      } else if (arg == "--trace") {
-        trace_path = next();
-      } else if (arg == "--trace-sample") {
-        trace_sample = json::parse_number<std::uint64_t>(next(), arg);
-      } else if (arg == "--metrics") {
-        metrics_path = next();
-      } else if (arg == "--metrics-interval-ms") {
-        metrics_interval_ms = json::parse_number<double>(next(), arg);
-      } else if (arg == "--seed") {
-        seed = json::parse_number<std::uint64_t>(next(), arg);
-        seed_given = true;
-      } else if (arg == "--n-flows") {
-        n_flows = json::parse_number<std::size_t>(next(), arg);
-      } else if (arg == "--max-bundles") {
-        max_bundles = json::parse_number<std::size_t>(next(), arg);
-      } else if (merge_mode && !arg.empty() && arg.front() != '-') {
-        merge_inputs.push_back(arg);
-      } else {
-        std::cerr << "unknown option: " << arg << "\n";
-        return usage(std::cerr, 2);
-      }
-    }
-    if (merge_mode && (shards_in_process != 0 || shard_index_given)) {
-      throw std::invalid_argument("--merge cannot be combined with --shards "
-                                  "or --shard-index");
-    }
-    if (shards_in_process != 0 && shard_index_given) {
-      throw std::invalid_argument(
-          "--shards (in-process) and --shard-index (single shard) conflict");
-    }
-    if (merge_mode && merge_inputs.size() < 2) {
-      throw std::invalid_argument("--merge needs at least two report files");
-    }
-    if (!merge_mode) {
-      grid = driver::named_grid(grid_name);
-      if (seed_given) grid.base.seed = seed;
-      if (n_flows != 0) grid.base.n_flows = n_flows;
-      if (max_bundles != 0) grid.max_bundles = max_bundles;
-    }
-    if (metrics_interval_ms > 0.0 && metrics_path.empty()) {
-      throw std::invalid_argument(
-          "--metrics-interval-ms requires --metrics");
-    }
-    fault_plan = driver::fault_plan_from_env();
-  } catch (const std::exception& err) {
-    std::cerr << "manytiers_batch: " << err.what() << "\n";
-    return 2;
-  }
+        if (merge_mode && merge_inputs.size() < 2) {
+          throw std::invalid_argument(
+              "--merge: needs at least two report files");
+        }
+        if (!merge_mode) grid = choice.resolve();
+        fault_plan = driver::fault_plan_from_env();
+      });
+  obs_flags.add_to(flags);
+  if (const auto code = flags.parse(argc, argv)) return *code;
+  const driver::ShardPlan shard{shard_index.value_or(0), shard_count};
 
   // Observability is opt-in and must never change what the run computes
-  // or reports (the byte-identity ctest pins this): tracing and the
-  // metrics registry only add relaxed atomic work on the side.
-  if (!trace_path.empty()) {
-    obs::Tracer::instance().start(trace_path);
-  } else {
-    obs::maybe_start_trace_from_env();
+  // or reports (the byte-identity ctest pins this).
+  std::string process_name = "manytiers_batch " + choice.grid;
+  if (shard_index) {
+    process_name += " shard " + std::to_string(shard.index) + "/" +
+                    std::to_string(shard.count);
   }
-  if (obs::Tracer::instance().active()) {
-    std::string process_name = "manytiers_batch " + grid_name;
-    if (shard_index_given) {
-      process_name += " shard " + std::to_string(shard.index) + "/" +
-                      std::to_string(shard.count);
-    }
-    obs::Tracer::instance().set_process_name(process_name);
-  }
+  cli::Observability observability(obs_flags, process_name);
   if (trace_sample != 0) obs::Tracer::instance().set_sample_every(trace_sample);
-  if (!metrics_path.empty()) obs::set_enabled(true);
 
   // The fault hook (see driver/fault.hpp): hermetic crash / stall /
   // slow / corrupt / partial injection for orchestrator tests, keyed on
@@ -284,8 +190,7 @@ int main(int argc, char** argv) {
   bool partial_output = false;
   std::size_t slow_ms = 0;
   if (const auto fault = driver::fault_for(
-          fault_plan, shard_index_given ? shard.index : 0,
-          driver::fault_attempt_from_env())) {
+          fault_plan, shard.index, driver::fault_attempt_from_env())) {
     switch (fault->kind) {
       case driver::FaultKind::Crash:
         std::cerr << "manytiers_batch: injected crash\n";
@@ -314,12 +219,7 @@ int main(int argc, char** argv) {
     }
     // Heartbeat-style metrics stream: ticks while the grid evaluates,
     // final tick taken before the end-of-run sidecar is written.
-    std::optional<obs::PeriodicSnapshotter> snapshotter;
-    if (metrics_interval_ms > 0.0) {
-      snapshotter.emplace(obs::PeriodicSnapshotter::Options{
-          obs::series_path_for(metrics_path), metrics_interval_ms});
-      snapshotter->start();
-    }
+    observability.start_series();
     if (slow_ms != 0) {
       // Deterministic straggler: alive (beating) but slow.
       std::cerr << "manytiers_batch: injected slow (" << slow_ms << " ms)\n";
@@ -350,7 +250,7 @@ int main(int argc, char** argv) {
     }
 
     const std::string payload =
-        driver::report_to_string(report, include_timing);
+        driver::report_to_string(report, !no_timing);
     if (out_path.empty()) {
       std::cout << payload;
     } else if (corrupt_output) {
@@ -374,16 +274,10 @@ int main(int argc, char** argv) {
     } else {
       util::write_file_durable(out_path, payload);
     }
-    if (snapshotter) snapshotter->stop();
-    if (!metrics_path.empty()) {
-      // Sidecar after the report: a supervisor that sees a valid part
-      // file may still find the sidecar missing (worker died between the
-      // two writes) and must tolerate that.
-      util::write_file_durable(
-          metrics_path,
-          obs::snapshot_to_json(obs::Registry::instance().snapshot()));
-    }
-    obs::Tracer::instance().flush();
+    // Sidecar after the report: a supervisor that sees a valid part file
+    // may still find the sidecar missing (worker died between the two
+    // writes) and must tolerate that.
+    observability.finish();
     // Perf-trajectory breadcrumb, same shape as the bench binaries'.
     const std::size_t n_tasks = report.cells.size() * report.points_per_cell;
     std::string line = "BENCH_JSON ";

@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "obs/registry.hpp"
+#include "topology/internet2.hpp"
 
 namespace manytiers::netdyn {
 
@@ -81,6 +82,51 @@ std::size_t FlowRecoster::recost_all(workload::FlowSet& flows,
     }
   }
   return changed;
+}
+
+DynamicFlows::DynamicFlows(driver::ExperimentGrid grid,
+                           SsspKernelOptions kernel)
+    : grid_(std::move(grid)), net_(topology::internet2_network(), kernel) {
+  const workload::GeneratorOptions gen{.seed = grid_.base.seed,
+                                       .n_flows = grid_.base.n_flows};
+  flows_.reserve(grid_.datasets.size());
+  recosters_.reserve(grid_.datasets.size());
+  for (const auto kind : grid_.datasets) {
+    if (kind == workload::DatasetKind::Internet2) {
+      // Epoch-0 distances equal all_pairs_distances(backbone) bit-for-bit
+      // (same relaxation core), so these flows match generate_dataset's.
+      workload::TopologyBinding binding;
+      flows_.push_back(workload::generate_internet2(
+          gen, topology::internet2_network(), net_.distances(), &binding));
+      recosters_.emplace_back(FlowRecoster(std::move(binding)));
+    } else {
+      flows_.push_back(workload::generate_dataset(kind, gen));
+      recosters_.emplace_back(std::nullopt);
+    }
+  }
+}
+
+DynamicFlows::Delta DynamicFlows::apply(std::span<const NetworkUpdate> batch) {
+  Delta out;
+  out.distances = net_.apply(batch);
+  if (out.distances.empty()) return out;
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    if (!recosters_[i]) continue;
+    const std::size_t changed =
+        recosters_[i]->recost(flows_[i], out.distances, net_.distances());
+    out.recosted_flows += changed;
+    if (changed != 0) out.dirty.push_back(i);
+  }
+  return out;
+}
+
+std::vector<workload::FlowSet> DynamicFlows::scratch_flows() const {
+  const topology::DistanceMatrix dist = net_.scratch_distances();
+  std::vector<workload::FlowSet> flows = flows_;
+  for (std::size_t i = 0; i < flows.size(); ++i) {
+    if (recosters_[i]) recosters_[i]->recost_all(flows[i], dist);
+  }
+  return flows;
 }
 
 }  // namespace manytiers::netdyn

@@ -18,9 +18,12 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
+#include "driver/grid.hpp"
 #include "netdyn/dynamic_network.hpp"
 #include "topology/dijkstra.hpp"
 #include "workload/flowset.hpp"
@@ -53,6 +56,46 @@ class FlowRecoster {
   workload::TopologyBinding binding_;
   // (src << 32 | dst) -> indices of the flows riding that pair.
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> by_pair_;
+};
+
+// The dynamic-delta core GridSession and serve::DynamicState share: a
+// grid's flow sets over the live Internet2 backbone. Each dataset's flows
+// generate once at the grid's base parameters (at epoch 0 they equal
+// generate_dataset's bit for bit); the network-backed ones keep their
+// topology binding, so an update batch re-costs exactly the flows on the
+// pairs whose distance changed. Consumers rebuild what the dirty
+// datasets feed: report cells, or serve market entries.
+class DynamicFlows {
+ public:
+  explicit DynamicFlows(
+      driver::ExperimentGrid grid,
+      SsspKernelOptions kernel = sssp_kernel_options_from_env());
+
+  const driver::ExperimentGrid& grid() const { return grid_; }
+  const DynamicNetwork& network() const { return net_; }
+  const std::vector<workload::FlowSet>& flows() const { return flows_; }
+
+  struct Delta {
+    DistanceDelta distances;
+    std::size_t recosted_flows = 0;
+    std::vector<std::size_t> dirty;  // datasets whose flows repriced
+  };
+
+  // Advance the network by one batch and re-cost the bound flows the
+  // distance delta names. Throws std::invalid_argument on an invalid
+  // batch before anything changes.
+  Delta apply(std::span<const NetworkUpdate> batch);
+
+  // The recompute-everything reference: scratch all-pairs Dijkstra, then
+  // every bound flow re-costed. Equals flows() after every apply.
+  std::vector<workload::FlowSet> scratch_flows() const;
+
+ private:
+  driver::ExperimentGrid grid_;
+  DynamicNetwork net_;
+  std::vector<workload::FlowSet> flows_;  // one per grid dataset
+  // Engaged for network-backed datasets only (index-aligned with flows_).
+  std::vector<std::optional<FlowRecoster>> recosters_;
 };
 
 }  // namespace manytiers::netdyn

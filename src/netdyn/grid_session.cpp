@@ -1,41 +1,21 @@
 #include "netdyn/grid_session.hpp"
 
+#include <algorithm>
 #include <string>
 #include <utility>
 
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "topology/dijkstra.hpp"
 
 namespace manytiers::netdyn {
 
 GridSession::GridSession(driver::ExperimentGrid grid,
-                         const topology::Network& backbone,
                          GridSessionOptions options)
-    : grid_(std::move(grid)), options_(options), net_(backbone, options.kernel) {
-  const workload::GeneratorOptions gen{.seed = grid_.base.seed,
-                                       .n_flows = grid_.base.n_flows};
-  flows_.reserve(grid_.datasets.size());
-  recosters_.reserve(grid_.datasets.size());
-  for (const auto kind : grid_.datasets) {
-    if (kind == workload::DatasetKind::Internet2) {
-      workload::TopologyBinding binding;
-      // Epoch-0 distances equal all_pairs_distances(backbone) bit-for-bit
-      // (same relaxation core), so for the Internet2 backbone these flows
-      // match generate_dataset's exactly.
-      flows_.push_back(
-          workload::generate_internet2(gen, backbone, net_.distances(),
-                                       &binding));
-      recosters_.emplace_back(FlowRecoster(std::move(binding)));
-    } else {
-      flows_.push_back(workload::generate_dataset(kind, gen));
-      recosters_.emplace_back(std::nullopt);
-    }
-  }
+    : threads_(options.threads), flows_(std::move(grid), options.kernel) {
   driver::RunOptions run;
-  run.threads = options_.threads;
-  run.flows_override = &flows_;
-  report_ = driver::run_grid(grid_, run);
+  run.threads = threads_;
+  run.flows_override = &flows_.flows();
+  report_ = driver::run_grid(flows_.grid(), run);
 }
 
 GridSession::ApplyStats GridSession::apply(
@@ -50,44 +30,33 @@ GridSession::ApplyStats GridSession::apply(
           ? "{\"updates\":" + std::to_string(batch.size()) + "}"
           : std::string());
 
-  ApplyStats stats;
-  stats.delta = net_.apply(batch);
-  if (stats.delta.empty()) return stats;
-
-  const auto& dist = net_.distances();
-  std::vector<std::size_t> dirty;
-  for (std::size_t i = 0; i < flows_.size(); ++i) {
-    if (!recosters_[i]) continue;
-    const std::size_t changed =
-        recosters_[i]->recost(flows_[i], stats.delta, dist);
-    stats.recosted_flows += changed;
-    if (changed != 0) dirty.push_back(i);
-  }
-  if (dirty.empty()) return stats;
-  stats.dirty_datasets = dirty.size();
+  DynamicFlows::Delta delta = flows_.apply(batch);
+  ApplyStats stats{std::move(delta.distances), delta.recosted_flows,
+                   delta.dirty.size()};
 
   // Cells enumerate dataset-major, so dataset i owns the contiguous block
   // [i * block, (i + 1) * block). Re-evaluating a one-dataset sub-grid
   // yields that block's cells in the same order, computed from the same
   // (re-costed) flows run_grid would see in a full run — splicing them in
   // reproduces the full-grid report byte-for-byte, timing aside.
-  const std::size_t block = grid_.demand_kinds.size() *
-                            grid_.cost_kinds.size() * grid_.strategies.size();
-  const std::size_t points = driver::points_per_cell(grid_);
-  for (const std::size_t ds : dirty) {
-    driver::ExperimentGrid sub = grid_;
-    sub.datasets = {grid_.datasets[ds]};
-    const std::vector<workload::FlowSet> sub_flows{flows_[ds]};
+  const driver::ExperimentGrid& grid = flows_.grid();
+  const std::size_t block = grid.demand_kinds.size() *
+                            grid.cost_kinds.size() * grid.strategies.size();
+  const std::size_t markets = grid.demand_kinds.size() *
+                              grid.cost_kinds.size() *
+                              driver::points_per_cell(grid);
+  for (const std::size_t ds : delta.dirty) {
+    driver::ExperimentGrid sub = grid;
+    sub.datasets = {grid.datasets[ds]};
+    const std::vector<workload::FlowSet> sub_flows{flows_.flows()[ds]};
     driver::RunOptions run;
-    run.threads = options_.threads;
+    run.threads = threads_;
     run.flows_override = &sub_flows;
     driver::BatchReport part = driver::run_grid(sub, run);
-    for (std::size_t c = 0; c < part.cells.size(); ++c) {
-      report_.cells[ds * block + c] = std::move(part.cells[c]);
-    }
+    std::move(part.cells.begin(), part.cells.end(),
+              report_.cells.begin() + ds * block);
     stats.dirty_cells += block;
-    stats.dirty_markets +=
-        grid_.demand_kinds.size() * grid_.cost_kinds.size() * points;
+    stats.dirty_markets += markets;
   }
   dirty_cells_counter.add(stats.dirty_cells);
   dirty_markets_counter.add(stats.dirty_markets);
@@ -95,17 +64,11 @@ GridSession::ApplyStats GridSession::apply(
 }
 
 driver::BatchReport GridSession::scratch_report() const {
-  // Independent reference: scratch all-pairs Dijkstra, full re-cost of
-  // every bound flow, full-grid evaluation.
-  const topology::DistanceMatrix dist = net_.scratch_distances();
-  std::vector<workload::FlowSet> flows = flows_;
-  for (std::size_t i = 0; i < flows.size(); ++i) {
-    if (recosters_[i]) recosters_[i]->recost_all(flows[i], dist);
-  }
+  const std::vector<workload::FlowSet> flows = flows_.scratch_flows();
   driver::RunOptions run;
-  run.threads = options_.threads;
+  run.threads = threads_;
   run.flows_override = &flows;
-  return driver::run_grid(grid_, run);
+  return driver::run_grid(flows_.grid(), run);
 }
 
 }  // namespace manytiers::netdyn

@@ -1,31 +1,26 @@
 // Delta propagation, layers 2-3: from re-costed flows to recalibrated
 // markets and re-evaluated grid cells.
 //
-// A GridSession owns an ExperimentGrid evaluated against a live
-// DynamicNetwork. Network-backed datasets (Internet2) generate once over
-// the epoch-0 backbone with their topology binding captured; applying an
-// update batch re-costs only the flows the DistanceDelta names, marks the
-// datasets that repriced dirty, and re-runs run_grid for exactly the
-// dirty datasets' cell blocks (cells enumerate dataset-major, so a dirty
-// dataset is one contiguous splice). Markets of clean cells are never
-// recalibrated — their epoch-tagged profit caches stay primed.
+// A GridSession evaluates an ExperimentGrid over a DynamicFlows core
+// (the live Internet2 backbone and the grid's flow sets). Applying an
+// update batch lets the core re-cost the flows the DistanceDelta names
+// and report the datasets that repriced; the session then re-runs
+// run_grid for exactly those datasets' cell blocks (cells enumerate
+// dataset-major, so a dirty dataset is one contiguous splice). Clean
+// cells are never re-evaluated.
 //
 // The maintained report is byte-identical (modulo timing fields) to
-// scratch_report(), which rebuilds everything the expensive way: scratch
-// all-pairs Dijkstra, full re-cost of every bound flow, full-grid
-// run_grid. That equivalence holds after every batch, for either SSSP
-// kernel and any thread count, and is what the netdyn ctest suite pins.
+// scratch_report(), a full-grid run_grid over DynamicFlows::
+// scratch_flows(). That equivalence holds after every batch, for either
+// SSSP kernel and any thread count, and is what the netdyn ctest suite
+// pins.
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <span>
-#include <vector>
 
 #include "driver/runner.hpp"
-#include "netdyn/dynamic_network.hpp"
 #include "netdyn/flows.hpp"
-#include "topology/graph.hpp"
 
 namespace manytiers::netdyn {
 
@@ -36,17 +31,13 @@ struct GridSessionOptions {
 
 class GridSession {
  public:
-  // Evaluates the grid up front; Internet2 datasets bind to `backbone`
-  // (pass topology::internet2_network() to reproduce the static pipeline
-  // bit-for-bit at epoch 0).
-  GridSession(driver::ExperimentGrid grid, const topology::Network& backbone,
-              GridSessionOptions options = {});
+  // Evaluates the grid up front; at epoch 0 the report equals a plain
+  // run_grid of the grid bit-for-bit.
+  explicit GridSession(driver::ExperimentGrid grid,
+                       GridSessionOptions options = {});
 
   const driver::BatchReport& report() const { return report_; }
-  const driver::ExperimentGrid& grid() const { return grid_; }
-  const DynamicNetwork& network() const { return net_; }
-  std::uint64_t epoch() const { return net_.epoch(); }
-  const std::vector<workload::FlowSet>& flows() const { return flows_; }
+  std::uint64_t epoch() const { return flows_.network().epoch(); }
 
   struct ApplyStats {
     DistanceDelta delta;
@@ -67,12 +58,8 @@ class GridSession {
   driver::BatchReport scratch_report() const;
 
  private:
-  driver::ExperimentGrid grid_;
-  GridSessionOptions options_;
-  DynamicNetwork net_;
-  std::vector<workload::FlowSet> flows_;  // one per grid dataset, live
-  // Engaged for network-backed datasets only (index-aligned with flows_).
-  std::vector<std::optional<FlowRecoster>> recosters_;
+  std::size_t threads_;
+  DynamicFlows flows_;
   driver::BatchReport report_;
 };
 

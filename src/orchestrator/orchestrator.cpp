@@ -183,7 +183,6 @@ SpawnSpec worker_spec(const Options& opt, const fs::path& work,
                       std::size_t shard, std::size_t attempt) {
   SpawnSpec spec;
   spec.argv = {opt.worker_binary,
-               "--grid",        opt.grid,
                "--shard-index", std::to_string(shard),
                "--shard-count", std::to_string(opt.workers),
                "--no-timing",
@@ -204,18 +203,7 @@ SpawnSpec worker_spec(const Options& opt, const fs::path& work,
     spec.argv.push_back("--heartbeat-interval-ms");
     spec.argv.push_back(std::to_string(interval));
   }
-  if (opt.seed_given) {
-    spec.argv.push_back("--seed");
-    spec.argv.push_back(std::to_string(opt.seed));
-  }
-  if (opt.n_flows != 0) {
-    spec.argv.push_back("--n-flows");
-    spec.argv.push_back(std::to_string(opt.n_flows));
-  }
-  if (opt.max_bundles != 0) {
-    spec.argv.push_back("--max-bundles");
-    spec.argv.push_back(std::to_string(opt.max_bundles));
-  }
+  for (std::string& arg : opt.args()) spec.argv.push_back(std::move(arg));
   if (!opt.trace.empty()) {
     spec.argv.push_back("--trace");
     spec.argv.push_back(attempt_trace_path(work, shard, attempt).string());
@@ -302,10 +290,7 @@ Result orchestrate(const Options& options, EventLog& log) {
   }
   // Resolve the grid now: an unknown grid name or bad override is a
   // caller error, not a worker failure to retry.
-  driver::ExperimentGrid grid = driver::named_grid(options.grid);
-  if (options.seed_given) grid.base.seed = options.seed;
-  if (options.n_flows != 0) grid.base.n_flows = options.n_flows;
-  if (options.max_bundles != 0) grid.max_bundles = options.max_bundles;
+  driver::ExperimentGrid grid = options.resolve();
   driver::validate_grid(grid);
   const std::string signature = driver::grid_signature(grid);
   const fs::path work{options.work_dir};

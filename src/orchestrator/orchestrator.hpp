@@ -49,12 +49,14 @@
 #include <string>
 #include <vector>
 
+#include "driver/grid.hpp"
 #include "orchestrator/events.hpp"
 
 namespace manytiers::orchestrator {
 
-struct Options {
-  std::string grid = "default";
+// The grid choice (name and overrides) is forwarded to workers and
+// applied to the merge-time signature check.
+struct Options : driver::GridChoice {
   std::size_t workers = 4;       // K: shard count == max concurrent shards
   std::string worker_binary;     // path to the manytiers_batch executable
   std::string work_dir;          // manifest + parts + logs + heartbeats
@@ -110,13 +112,6 @@ struct Options {
   // TEST HOOK: SIGKILL this process (no cleanup, no unwind) right after
   // the Nth shard completes — the hermetic way to exercise resume.
   std::size_t kill_after_shards = 0;
-
-  // Grid overrides, forwarded to workers and applied to the merge-time
-  // signature check; 0 / unset means "grid default".
-  std::uint64_t seed = 0;
-  bool seed_given = false;
-  std::size_t n_flows = 0;
-  std::size_t max_bundles = 0;
 };
 
 struct ShardOutcome {

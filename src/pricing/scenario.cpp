@@ -121,18 +121,6 @@ double Market::blended_profit() const { return primed_cache().blended; }
 
 double Market::max_profit() const { return primed_cache().maximum; }
 
-void Market::tag_topology_epoch(std::uint64_t epoch) {
-  if (!profit_cache_) {
-    throw std::logic_error("Market: tagging an uncalibrated market");
-  }
-  if (epoch == topology_epoch_) return;
-  static obs::Counter& invalidations =
-      obs::Registry::instance().counter("market.profit_cache_invalidations");
-  invalidations.add();
-  profit_cache_ = std::make_shared<ProfitCache>();
-  topology_epoch_ = epoch;
-}
-
 std::size_t Market::cost_class_count() const {
   if (classes_.empty()) return 0;
   return *std::max_element(classes_.begin(), classes_.end()) + 1;

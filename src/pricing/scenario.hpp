@@ -9,7 +9,6 @@
 // blended bundle recovers exactly P0.
 #pragma once
 
-#include <cstdint>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -63,17 +62,6 @@ class Market {
   double blended_profit() const;
   double max_profit() const;
 
-  // Topology-epoch tag for dynamic-network workflows. A market calibrated
-  // against topology epoch E carries E; re-tagging with a different epoch
-  // swaps in a fresh unprimed baseline-profit cache (the cached profits
-  // were computed from stale costs, and a std::once_flag cannot be
-  // re-armed in place). Re-tagging with the same epoch is a no-op, so
-  // clean markets keep their primed caches. Copies made before a re-tag
-  // keep the old, still-self-consistent cache; the swap is not
-  // synchronized against concurrent baseline reads of the same object.
-  std::uint64_t topology_epoch() const { return topology_epoch_; }
-  void tag_topology_epoch(std::uint64_t epoch);
-
  private:
   Market() = default;
 
@@ -90,7 +78,6 @@ class Market {
   std::vector<std::size_t> classes_;
   std::optional<demand::CedModel> ced_;
   std::optional<demand::LogitModel> logit_;
-  std::uint64_t topology_epoch_ = 0;
   std::shared_ptr<ProfitCache> profit_cache_;  // created by calibrate()
 };
 

@@ -1,18 +1,17 @@
 // Delta propagation, serve layer: the daemon-side dynamic network and
 // the derived-snapshot reload path.
 //
-// A DynamicState pairs a netdyn::DynamicNetwork (seeded with the
-// Internet2 backbone) with the grid's generated flow sets and, for each
-// topology-bound dataset, the FlowRecoster that replays the frozen
-// epoch-0 calibration on updated raw distances. An updates reload
-// applies one batch, re-costs exactly the flows the DistanceDelta
-// names, and derives the next Snapshot from the previous one: markets
-// of clean datasets are shared (same shared_ptr, zero recalibration),
-// markets of dirty datasets are rebuilt through the same
-// build_market_entry path build_snapshot fans out over — so the derived
-// snapshot is byte-identical to a full rebuild from the same re-costed
-// flows, and a link failure turns into a republished snapshot in the
-// time it takes to recalibrate the handful of markets it touched.
+// A DynamicState derives serving snapshots over a netdyn::DynamicFlows
+// core (the live Internet2 backbone and the grid's flow sets, with the
+// topology-bound datasets re-costed per batch). An updates reload
+// applies one batch and derives the next Snapshot from the previous
+// one: markets of clean datasets are shared (same shared_ptr, zero
+// recalibration), markets of dirty datasets are rebuilt through the
+// same build_market_entry path build_snapshot fans out over — so the
+// derived snapshot is byte-identical to a full rebuild from the same
+// re-costed flows, and a link failure turns into a republished snapshot
+// in the time it takes to recalibrate the handful of markets it
+// touched.
 //
 // State advances only when apply() succeeds; an invalid batch throws
 // out of DynamicNetwork::apply before anything here mutates, so the
@@ -21,12 +20,9 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
-#include <vector>
 
 #include "driver/grid.hpp"
-#include "netdyn/dynamic_network.hpp"
 #include "netdyn/flows.hpp"
 #include "serve/snapshot.hpp"
 
@@ -60,13 +56,10 @@ class DynamicState {
   std::shared_ptr<const Snapshot> scratch_snapshot(std::uint64_t epoch,
                                                    std::size_t threads) const;
 
-  const netdyn::DynamicNetwork& network() const { return net_; }
+  const netdyn::DynamicNetwork& network() const { return flows_.network(); }
 
  private:
-  driver::ExperimentGrid grid_;
-  netdyn::DynamicNetwork net_;
-  std::vector<workload::FlowSet> flows_;  // one per grid dataset
-  std::vector<std::optional<netdyn::FlowRecoster>> recosters_;
+  netdyn::DynamicFlows flows_;
 };
 
 }  // namespace manytiers::serve

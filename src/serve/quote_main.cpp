@@ -24,117 +24,82 @@
 #include <string>
 #include <thread>
 
-#include "json/flat_json.hpp"
 #include "serve/client.hpp"
-
-namespace {
+#include "util/cli.hpp"
 
 using namespace manytiers;
-
-int usage(std::ostream& os, int code) {
-  os << "usage: manytiers_quote --socket PATH [--retry-ms N] [--timeout-ms N]\n"
-        "                       [--overload-retries N] KIND [args]\n"
-        "       manytiers_quote --socket PATH --raw JSON\n"
-        "kinds:\n"
-        "  price     --market K --strategy S --q MBPS --d MILES\n"
-        "            [--class N] [--bundles N]\n"
-        "  schedule  --market K --strategy S [--bundles N]\n"
-        "  requote   --market K --strategy S --flow N [--bundles N]\n"
-        "  reload    [--seed N] [--n-flows N] [--updates OPS]\n"
-        "  health    (no args — lifecycle state and live gauges)\n"
-        "  stats     (no args — health plus the full metrics registry\n"
-        "            with exact p50/p99/p999 per histogram; never shed)\n"
-        "--timeout-ms bounds each send/recv syscall (default 30000; 0 =\n"
-        "block forever); --overload-retries retries code=='overloaded'\n"
-        "responses with exponential backoff (default 0 = report at once)\n"
-        "--updates ships a topology batch (netdyn wire format, ops joined\n"
-        "with ';'): \"w,A,B,LEN\" reweigh, \"down,A,B\" fail, \"up,A,B[,LEN\n"
-        "[,CAP]]\" restore, \"add,NAME,LAT,LON\" / \"rm,NAME\" PoPs — the\n"
-        "daemon applies it incrementally and rebuilds only dirty markets\n"
-        "market keys are \"dataset/demand/cost\", e.g. \"EU ISP/ced/linear\";\n"
-        "--bundles 0 (default) means the grid's maximum tier count\n";
-  return code;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   std::string socket_path;
   std::string raw;
   int retry_ms = 0;
   int timeout_ms = 30000;
-  int overload_retries = 0;
+  std::size_t overload_retries = 0;
   serve::Request request;
   bool kind_given = false;
 
-  try {
-    const auto next = [&](int& i) -> std::string {
-      if (i + 1 >= argc) {
-        throw std::invalid_argument(std::string(argv[i]) +
-                                    " requires an argument");
-      }
-      return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--help" || arg == "-h") {
-        return usage(std::cout, 0);
-      } else if (arg == "--socket") {
-        socket_path = next(i);
-      } else if (arg == "--retry-ms") {
-        retry_ms = json::parse_number<int>(next(i), arg);
-      } else if (arg == "--timeout-ms") {
-        timeout_ms = json::parse_number<int>(next(i), arg);
-      } else if (arg == "--overload-retries") {
-        overload_retries = json::parse_number<int>(next(i), arg);
-      } else if (arg == "--raw") {
-        raw = next(i);
-      } else if (arg == "--market") {
-        request.market = next(i);
-      } else if (arg == "--strategy") {
-        request.strategy = next(i);
-      } else if (arg == "--bundles") {
-        request.bundles = json::parse_number<std::size_t>(next(i), arg);
-      } else if (arg == "--q") {
-        request.q = json::parse_number<double>(next(i), arg);
-      } else if (arg == "--d") {
-        request.d = json::parse_number<double>(next(i), arg);
-      } else if (arg == "--class") {
-        request.cost_class = json::parse_number<std::size_t>(next(i), arg);
-      } else if (arg == "--flow") {
-        request.flow = json::parse_number<std::size_t>(next(i), arg);
-      } else if (arg == "--seed") {
-        request.seed = json::parse_number<std::uint64_t>(next(i), arg);
-      } else if (arg == "--n-flows") {
-        request.n_flows = json::parse_number<std::size_t>(next(i), arg);
-      } else if (arg == "--updates") {
-        request.updates = next(i);
-      } else if (!arg.empty() && arg[0] != '-') {
-        request.kind = serve::parse_query_kind(arg);
+  cli::Flags flags(
+      "manytiers_quote", "--socket PATH [options] KIND [args] | --raw JSON",
+      "kinds:\n"
+      "  price     --market K --strategy S --q MBPS --d MILES [--class N]\n"
+      "            [--bundles N]\n"
+      "  schedule  --market K --strategy S [--bundles N]\n"
+      "  requote   --market K --strategy S --flow N [--bundles N]\n"
+      "  reload    [--seed N] [--n-flows N] [--updates OPS]\n"
+      "  health    lifecycle state and live gauges\n"
+      "  stats     health plus the full metrics registry (never shed)\n"
+      "--updates ops (netdyn wire format, joined with ';'): \"w,A,B,LEN\"\n"
+      "reweigh, \"down,A,B\", \"up,A,B[,LEN[,CAP]]\", \"add,NAME,LAT,LON\",\n"
+      "\"rm,NAME\"; the daemon rebuilds only the dirty markets.\n"
+      "market keys are \"dataset/demand/cost\", e.g. \"EU ISP/ced/linear\".\n"
+      "exit codes: 0 ok response, 1 error response or transport fault, "
+      "2 usage error\n");
+  flags
+      .value("--socket", "PATH", "the daemon's unix socket (required)",
+             socket_path)
+      .value("--retry-ms", "N", "wait up to N ms for the daemon to bind",
+             cli::millis(retry_ms))
+      .value("--timeout-ms", "N",
+             "bound each send/recv (default 30000; 0 = block forever)",
+             cli::millis(timeout_ms))
+      .value("--overload-retries", "N",
+             "retry 'overloaded' answers with backoff (default 0)",
+             overload_retries)
+      .value("--raw", "JSON", "send JSON as the request payload", raw)
+      .value("--market", "K", "market key", request.market)
+      .value("--strategy", "S", "bundling strategy name", request.strategy)
+      .value("--bundles", "N", "tier count (0 = the grid's maximum)",
+             request.bundles)
+      .value("--q", "MBPS", "price: the flow's demand", request.q)
+      .value("--d", "MILES", "price: the flow's distance", request.d)
+      .value("--class", "N", "price: the flow's cost class",
+             request.cost_class)
+      .value("--flow", "N", "requote: flow index in the market",
+             request.flow)
+      .value("--seed", "N", "reload: dataset seed override", request.seed)
+      .value("--n-flows", "N", "reload: flows per dataset override",
+             request.n_flows)
+      .value("--updates", "OPS", "reload: topology update batch",
+             request.updates)
+      .positional([&](std::string_view kind) {
+        request.kind = serve::parse_query_kind(kind);
         kind_given = true;
-      } else {
-        std::cerr << "manytiers_quote: unknown flag " << arg << "\n";
-        return usage(std::cerr, 2);
-      }
-    }
-    if (socket_path.empty()) {
-      std::cerr << "manytiers_quote: --socket is required\n";
-      return usage(std::cerr, 2);
-    }
-    if (raw.empty() && !kind_given) {
-      std::cerr << "manytiers_quote: need a query kind or --raw\n";
-      return usage(std::cerr, 2);
-    }
-  } catch (const std::exception& err) {
-    std::cerr << "manytiers_quote: " << err.what() << "\n";
-    return 2;
-  }
+      })
+      .check([&] {
+        if (socket_path.empty()) {
+          throw std::invalid_argument("--socket: is required");
+        }
+        if (raw.empty() && !kind_given) {
+          throw std::invalid_argument("need a query kind or --raw");
+        }
+      });
+  if (const auto code = flags.parse(argc, argv)) return *code;
 
   try {
     const std::string request_payload =
         raw.empty() ? serve::serialize_request(request) : raw;
     int backoff_ms = 50;
-    for (int attempt = 0;; ++attempt) {
+    for (std::size_t attempt = 0;; ++attempt) {
       // Fresh connection per attempt: an overloaded daemon may have
       // refused at the connection cap, so reusing the socket would just
       // replay the same refusal.

@@ -147,8 +147,7 @@ std::shared_ptr<const MarketEntry> build_market_entry(
   return entry;
 }
 
-std::shared_ptr<const Snapshot> build_snapshot(
-    const driver::ExperimentGrid& grid, const SnapshotBuildOptions& options) {
+void validate_serve_grid(const driver::ExperimentGrid& grid) {
   driver::validate_grid(grid);
   if (grid.sweep.kind != driver::SweepAxis::Kind::None) {
     throw std::invalid_argument(
@@ -156,6 +155,11 @@ std::shared_ptr<const Snapshot> build_snapshot(
         "\" has a sweep axis; the daemon serves base-parameter markets "
         "only");
   }
+}
+
+std::shared_ptr<const Snapshot> build_snapshot(
+    const driver::ExperimentGrid& grid, const SnapshotBuildOptions& options) {
+  validate_serve_grid(grid);
 
   auto snapshot = std::make_shared<Snapshot>();
   snapshot->epoch = options.epoch;

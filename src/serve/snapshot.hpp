@@ -100,10 +100,13 @@ struct SnapshotBuildOptions {
   const std::vector<workload::FlowSet>* flows_override = nullptr;
 };
 
+// Throws std::invalid_argument on invalid grids and on sweep grids (the
+// daemon serves base-parameter markets; a sweep axis has no single
+// answer per cell).
+void validate_serve_grid(const driver::ExperimentGrid& grid);
+
 // Calibrate every market of the grid and price every strategy x bundle
-// count. Throws std::invalid_argument on invalid grids and on sweep
-// grids (the daemon serves base-parameter markets; a sweep axis has no
-// single answer per cell).
+// count. Throws what validate_serve_grid throws.
 std::shared_ptr<const Snapshot> build_snapshot(
     const driver::ExperimentGrid& grid, const SnapshotBuildOptions& options = {});
 

@@ -33,26 +33,13 @@
 #include <thread>
 #include <vector>
 
-#include "json/flat_json.hpp"
 #include "obs/registry.hpp"
 #include "serve/client.hpp"
+#include "util/cli.hpp"
 
 namespace {
 
 using namespace manytiers;
-
-int usage(std::ostream& os, int code) {
-  os << "usage: manytiers_top --socket PATH [options]\n"
-        "  --socket PATH     the daemon's unix socket (required)\n"
-        "  --interval-ms N   poll cadence (default 1000)\n"
-        "  --iterations N    stop after N polls (default 0 = forever)\n"
-        "  --retry-ms N      wait up to N ms for the daemon to bind\n"
-        "  --raw             print raw stats JSON per poll, no table\n"
-        "  --help            this text\n"
-        "\n"
-        "exit codes: 0 clean, 1 daemon unreachable/unparseable, 2 usage\n";
-  return code;
-}
 
 std::uint64_t counter_value(const serve::Response& r, std::string_view name) {
   for (const auto& [n, v] : r.stats_counters) {
@@ -175,55 +162,35 @@ void print_row(std::ostream& os, const Row& row) {
 int main(int argc, char** argv) {
   std::string socket_path;
   int interval_ms = 1000;
-  long iterations = 0;
+  std::size_t iterations = 0;
   int retry_ms = 0;
   bool raw = false;
 
-  try {
-    const auto next = [&](int& i) -> std::string {
-      if (i + 1 >= argc) {
-        throw std::invalid_argument(std::string(argv[i]) +
-                                    " requires an argument");
-      }
-      return argv[++i];
-    };
-    for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg == "--help" || arg == "-h") {
-        return usage(std::cout, 0);
-      } else if (arg == "--socket") {
-        socket_path = next(i);
-      } else if (arg == "--interval-ms") {
-        interval_ms = json::parse_number<int>(next(i), arg);
-      } else if (arg == "--iterations") {
-        iterations = json::parse_number<long>(next(i), arg);
-      } else if (arg == "--retry-ms") {
-        retry_ms = json::parse_number<int>(next(i), arg);
-      } else if (arg == "--raw") {
-        raw = true;
-      } else {
-        std::cerr << "manytiers_top: unknown flag " << arg << "\n";
-        return usage(std::cerr, 2);
-      }
-    }
-    if (socket_path.empty()) {
-      std::cerr << "manytiers_top: --socket is required\n";
-      return usage(std::cerr, 2);
-    }
-    if (interval_ms <= 0) {
-      std::cerr << "manytiers_top: --interval-ms must be positive\n";
-      return usage(std::cerr, 2);
-    }
-  } catch (const std::exception& err) {
-    std::cerr << "manytiers_top: " << err.what() << "\n";
-    return 2;
-  }
+  cli::Flags flags("manytiers_top", "--socket PATH [options]",
+                   "exit codes: 0 clean, 1 daemon unreachable/unparseable, "
+                   "2 usage\n");
+  flags
+      .value("--socket", "PATH", "the daemon's unix socket (required)",
+             socket_path)
+      .value("--interval-ms", "N", "poll cadence (default 1000)",
+             cli::millis(interval_ms, 1))
+      .value("--iterations", "N", "stop after N polls (default 0 = forever)",
+             iterations)
+      .value("--retry-ms", "N", "wait up to N ms for the daemon to bind",
+             cli::millis(retry_ms))
+      .toggle("--raw", "print raw stats JSON per poll, no table", raw)
+      .check([&] {
+        if (socket_path.empty()) {
+          throw std::invalid_argument("--socket: is required");
+        }
+      });
+  if (const auto code = flags.parse(argc, argv)) return *code;
 
   const bool tty = ::isatty(STDOUT_FILENO) == 1 && !raw;
   serve::Request request;
   request.kind = serve::QueryKind::Stats;
   std::optional<serve::Response> prev;
-  long polls = 0;
+  std::size_t polls = 0;
   bool printed_header = false;
 
   try {
@@ -235,7 +202,7 @@ int main(int argc, char** argv) {
                      : serve::Client::connect_unix(socket_path);
     client.set_timeout_ms(30000);
     for (;;) {
-      request.id = static_cast<std::uint64_t>(polls + 1);
+      request.id = polls + 1;
       const std::string payload =
           client.call_raw(serve::serialize_request(request));
       const serve::Response response = serve::parse_response(payload);

@@ -1,7 +1,9 @@
 // Every CLI reads numeric flags strictly: garbage, a stray sign or an
 // out-of-range value is a usage error (exit 2) naming the flag, never a
 // silently wrapped or truncated number. Also pins the SERVE_JSON ready
-// line's string escaping. Binary paths are injected at compile time.
+// line's string escaping, and that every flag the docs put on a command
+// line is in that binary's --help. Binary paths and the source dir are
+// injected at compile time.
 #include <signal.h>
 #include <unistd.h>
 
@@ -11,7 +13,9 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <optional>
+#include <regex>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -128,6 +132,122 @@ TEST(CliNumbers, TopRejectsTrailingGarbage) {
   expect_usage_error({MANYTIERS_TOP_BIN, "--socket", temp_path("none"),
                       "--interval-ms", "5x"},
                      "--interval-ms");
+}
+
+// Duration and threshold flags take only finite values in their domain:
+// *-ms flags [0, 2147483647], so no wait overflows a nanosecond clock.
+TEST(CliNumbers, BatchRejectsOutOfDomainIntervals) {
+  const std::string out = temp_path("batch");
+  const std::vector<std::string> base = {MANYTIERS_BATCH_BIN, "--grid",
+                                         "smoke", "--out", out};
+  const auto with = [&](std::vector<std::string> extra) {
+    extra.insert(extra.begin(), base.begin(), base.end());
+    return extra;
+  };
+  expect_usage_error(with({"--heartbeat", temp_path("beat"),
+                           "--heartbeat-interval-ms",
+                           "18446744073709551615"}),
+                     "--heartbeat-interval-ms");
+  for (const char* bad : {"1e300", "inf", "-5", "nan"}) {
+    expect_usage_error(with({"--metrics", temp_path("metrics"),
+                             "--metrics-interval-ms", bad}),
+                       "--metrics-interval-ms");
+  }
+}
+
+TEST(CliNumbers, OrchestrateRejectsAnOverflowingHeartbeatTimeout) {
+  const std::string out = temp_path("orch");
+  expect_usage_error({MANYTIERS_ORCH_BIN, "--grid", "smoke", "--workers", "1",
+                      "--heartbeat-timeout-ms", "1e18", "--out", out,
+                      "--work-dir", out + ".parts"},
+                     "--heartbeat-timeout-ms");
+}
+
+TEST(CliNumbers, ServeRejectsNegativeAndNaNThresholds) {
+  for (const char* bad : {"-5", "nan"}) {
+    expect_usage_error({MANYTIERS_SERVE_BIN, "--socket", temp_path("ms"),
+                        "--metrics", temp_path("metrics"),
+                        "--metrics-interval-ms", bad},
+                       "--metrics-interval-ms");
+  }
+  for (const char* bad : {"-1", "nan"}) {
+    expect_usage_error({MANYTIERS_SERVE_BIN, "--socket", temp_path("shed"),
+                        "--shed-p99-us", bad},
+                       "--shed-p99-us");
+  }
+}
+
+TEST(CliNumbers, QuoteRejectsNegativeTimeoutsAndRetries) {
+  expect_usage_error({MANYTIERS_QUOTE_BIN, "--socket", temp_path("none"),
+                      "--timeout-ms", "-7", "health"},
+                     "--timeout-ms");
+  expect_usage_error({MANYTIERS_QUOTE_BIN, "--socket", temp_path("none"),
+                      "--retry-ms", "-5", "health"},
+                     "--retry-ms");
+  expect_usage_error({MANYTIERS_QUOTE_BIN, "--socket", temp_path("none"),
+                      "--overload-retries", "-3", "health"},
+                     "--overload-retries");
+}
+
+TEST(CliNumbers, TopRejectsNegativeIterations) {
+  expect_usage_error({MANYTIERS_TOP_BIN, "--socket", temp_path("none"),
+                      "--iterations", "-1"},
+                     "--iterations");
+}
+
+// The docs drift check: join the `\` continuations of every fenced block
+// in README.md and EXPERIMENTS.md, and check that each --flag on a
+// `./build/src/manytiers_<bin> ...` command line is in that binary's
+// --help.
+TEST(CliDocs, EveryDocumentedFlagIsInHelp) {
+  const std::map<std::string, std::string> bins = {
+      {"batch", MANYTIERS_BATCH_BIN}, {"orchestrate", MANYTIERS_ORCH_BIN},
+      {"serve", MANYTIERS_SERVE_BIN}, {"quote", MANYTIERS_QUOTE_BIN},
+      {"top", MANYTIERS_TOP_BIN}};
+  std::map<std::string, std::string> help;
+  for (const auto& [name, path] : bins) {
+    const auto result = run({path, "--help"});
+    ASSERT_EQ(result.status.code, 0) << name << ": " << result.output;
+    help[name] = result.output;
+  }
+
+  const std::regex command(R"(\./build/src/manytiers_([a-z]+)(.*))");
+  const std::regex flag(R"(^--[a-z0-9-]+$)");
+  std::size_t checked = 0;
+  for (const char* doc : {"README.md", "EXPERIMENTS.md"}) {
+    std::istringstream in(slurp(std::string(MANYTIERS_SOURCE_DIR) + "/" + doc));
+    bool fenced = false;
+    std::string line, joined;
+    while (std::getline(in, line)) {
+      if (line.rfind("```", 0) == 0) {
+        fenced = !fenced;
+        continue;
+      }
+      if (!fenced) continue;
+      if (!line.empty() && line.back() == '\\') {
+        joined += line.substr(0, line.size() - 1);
+        continue;
+      }
+      joined += line;
+      std::smatch match;
+      if (std::regex_search(joined, match, command)) {
+        const std::string bin = match[1];
+        ASSERT_TRUE(bins.count(bin)) << doc << ": " << joined;
+        std::istringstream words(match[2].str());
+        std::string word;
+        while (words >> word && word != "#" && word != "|" && word != "&" &&
+               word != "&&" && word != ";") {
+          if (!std::regex_match(word, flag)) continue;
+          EXPECT_NE(help[bin].find("  " + word + " "), std::string::npos)
+              << doc << ": manytiers_" << bin << " " << word
+              << " is not in its --help";
+          ++checked;
+        }
+      }
+      joined.clear();
+    }
+  }
+  EXPECT_GT(checked, 50u);
 }
 
 // The ready line is strict JSON even when the socket path needs escaping.

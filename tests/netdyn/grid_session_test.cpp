@@ -38,7 +38,7 @@ TEST(GridSession, ReportStaysByteIdenticalToScratchAcrossBatches) {
       GridSessionOptions options;
       options.threads = threads;
       options.kernel = {kernel};
-      GridSession session(small_grid(), backbone, options);
+      GridSession session(small_grid(), options);
       ASSERT_EQ(stable(session.report()), stable(session.scratch_report()))
           << to_string(kernel) << " t" << threads << " epoch 0";
       for (std::size_t b = 0; b < batches.size(); ++b) {
@@ -57,8 +57,8 @@ TEST(GridSession, ReportIsThreadCountInvariant) {
   const auto backbone = topology::internet2_network();
   const auto batches = generate_update_sequence(backbone, 29,
                                                 {.n_batches = 3});
-  GridSession serial(small_grid(), backbone, {.threads = 1});
-  GridSession parallel(small_grid(), backbone, {.threads = 5});
+  GridSession serial(small_grid(), {.threads = 1});
+  GridSession parallel(small_grid(), {.threads = 5});
   ASSERT_EQ(stable(serial.report()), stable(parallel.report()));
   for (const auto& batch : batches) {
     serial.apply(batch);
@@ -72,7 +72,7 @@ TEST(GridSession, Epoch0MatchesTheStaticPipeline) {
   // run_grid of the same grid — the dynamic layer adds nothing at epoch
   // 0.
   const auto grid = small_grid();
-  GridSession session(grid, topology::internet2_network(), {.threads = 2});
+  GridSession session(grid, {.threads = 2});
   driver::RunOptions run;
   run.threads = 2;
   const auto reference = driver::run_grid(grid, run);
@@ -80,8 +80,7 @@ TEST(GridSession, Epoch0MatchesTheStaticPipeline) {
 }
 
 TEST(GridSession, CleanBatchesTouchNoCells) {
-  const auto backbone = topology::internet2_network();
-  GridSession session(small_grid(), backbone, {.threads = 2});
+  GridSession session(small_grid(), {.threads = 2});
 
   // A reweigh of a link the flows do ride, applied twice: the second
   // application is distance-neutral, so nothing downstream reprices.
@@ -107,7 +106,7 @@ TEST(GridSession, DirtyStatsCoverOnlyTheBoundDataset) {
   // smoke = {EU ISP, Internet2, CDN} x 2 demand x 1 cost x 2 strategies:
   // only the Internet2 block (4 cells) may reprice on a topology change.
   const auto grid = small_grid();
-  GridSession session(grid, topology::internet2_network(), {.threads = 2});
+  GridSession session(grid, {.threads = 2});
   NetworkUpdate u;
   u.kind = NetworkUpdate::Kind::LinkDown;
   u.a = "Chicago";

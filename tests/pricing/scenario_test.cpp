@@ -2,11 +2,9 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdint>
 #include <memory>
 #include <tuple>
 
-#include "obs/registry.hpp"
 #include "workload/generators.hpp"
 
 namespace manytiers::pricing {
@@ -163,50 +161,6 @@ INSTANTIATE_TEST_SUITE_P(
         ::testing::Values(demand::DemandKind::ConstantElasticity,
                           demand::DemandKind::Logit),
         ::testing::Values(0.05, 0.2, 0.5)));
-
-TEST(Market, TopologyEpochRetagSwapsTheProfitCache) {
-  const auto cost = cost::make_linear_cost(0.2);
-  auto m = Market::calibrate(small_flows(), DemandSpec{}, *cost, 20.0);
-  EXPECT_EQ(m.topology_epoch(), 0u);
-  const double blended = m.blended_profit();  // primes the cache
-  const double maximum = m.max_profit();
-
-  const obs::ScopedEnable metrics;  // counters are off by default
-  static obs::Counter& invalidations =
-      obs::Registry::instance().counter("market.profit_cache_invalidations");
-  const std::uint64_t before = invalidations.value();
-
-  // Same-epoch tag: a no-op that keeps the primed cache.
-  m.tag_topology_epoch(0);
-  EXPECT_EQ(m.topology_epoch(), 0u);
-  EXPECT_EQ(invalidations.value(), before);
-
-  // New epoch: the cache is swapped for a fresh one. The market's
-  // calibrated state did not change, so re-priming lands on the same
-  // bits — the invalidation is observable only through the counter.
-  m.tag_topology_epoch(7);
-  EXPECT_EQ(m.topology_epoch(), 7u);
-  EXPECT_EQ(invalidations.value(), before + 1);
-  EXPECT_EQ(m.blended_profit(), blended);
-  EXPECT_EQ(m.max_profit(), maximum);
-
-  // Re-tagging the new epoch is again a no-op.
-  m.tag_topology_epoch(7);
-  EXPECT_EQ(invalidations.value(), before + 1);
-}
-
-TEST(Market, CopiesTakenBeforeARetagKeepTheirCache) {
-  const auto cost = cost::make_linear_cost(0.2);
-  auto m = Market::calibrate(small_flows(), DemandSpec{}, *cost, 20.0);
-  const double blended = m.blended_profit();
-  const Market copy = m;
-  m.tag_topology_epoch(3);
-  // The copy still answers from the old, self-consistent cache and
-  // keeps its original epoch; the re-tagged original re-primes.
-  EXPECT_EQ(copy.topology_epoch(), 0u);
-  EXPECT_EQ(copy.blended_profit(), blended);
-  EXPECT_EQ(m.blended_profit(), blended);
-}
 
 TEST(Market, WorksOnGeneratedDatasets) {
   const auto flows = workload::generate_eu_isp({.seed = 1, .n_flows = 100});

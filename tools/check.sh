@@ -167,7 +167,10 @@ echo "== sanitizers: ctest -L \"obs|orchestrator|serve|netdyn|topology|driver|js
 # topology rides along as its dependency surface. obs joins for the
 # streaming layer's temp+rename writer. Every parser runs here: driver
 # brings the BATCH_JSON reader, its golden and driver_smoke, and json
-# the flat_json codec with every format's seeded-mutation round trips.
+# the flat_json codec with every format's seeded-mutation round trips,
+# the util/cli argv parser and the five CLIs' bad-flag cases. The build
+# adds float-cast-overflow to UBSan, so a duration flag that overflows a
+# clock conversion fails here.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ASAN_OPTIONS="detect_leaks=0" \
   ctest --test-dir "$repo/build-asan" \
