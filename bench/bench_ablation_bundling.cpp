@@ -24,16 +24,16 @@ int main() {
   const auto m = bench::linear_market(workload::DatasetKind::EuIsp,
                                       demand::DemandKind::ConstantElasticity);
   const auto pi = pricing::potential_profits(m);
+  const auto opt = pricing::capture_series(m, pricing::Strategy::Optimal, 6);
+  const auto ours = bundling::profit_weighted_series(pi, m.costs(), 6);
+  const auto naive = bundling::token_bucket_series(pi, 6);
   util::TextTable order_table(
       {"Bundles", "Optimal", "Cost-ordered (ours)", "Profit-ordered"});
   for (std::size_t b = 1; b <= 6; ++b) {
-    const double opt =
-        pricing::run_strategy(m, pricing::Strategy::Optimal, b).capture;
-    const double ours =
-        pricing::capture_of(m, bundling::profit_weighted(pi, m.costs(), b));
-    const double naive =
-        pricing::capture_of(m, bundling::token_bucket(pi, b));
-    order_table.add_row(std::to_string(b), {opt, ours, naive}, 3);
+    order_table.add_row(std::to_string(b),
+                        {opt[b - 1], pricing::capture_of(m, ours[b - 1]),
+                         pricing::capture_of(m, naive[b - 1])},
+                        3);
   }
   order_table.print(std::cout);
   std::cout << "Cost-contiguous tiers sized by profit mass track the "
@@ -45,11 +45,12 @@ int main() {
   const auto ml =
       bench::linear_market(workload::DatasetKind::EuIsp,
                            demand::DemandKind::Logit);
+  const auto series =
+      pricing::run_strategy_series(ml, pricing::Strategy::ProfitWeighted, 6);
   util::TextTable solver_table(
       {"Bundles", "Exact profit", "Gradient profit", "Rel. diff"});
   for (std::size_t b : {2u, 4u, 6u}) {
-    const auto res =
-        pricing::run_strategy(ml, pricing::Strategy::ProfitWeighted, b);
+    const auto& res = series[b - 1];
     // Re-price the same bundles with the gradient heuristic.
     std::vector<double> bundle_v, bundle_c;
     for (const auto& bundle : res.pricing.bundles) {
@@ -101,7 +102,7 @@ int main() {
       {"Bundles", "DP profit", "Exhaustive profit", "DP us", "Exhaustive us"});
   for (std::size_t b : {2u, 3u, 4u}) {
     const auto t0 = std::chrono::steady_clock::now();
-    const auto dp = bundling::ced_optimal(v, c, 1.6, b);
+    const auto dp = bundling::ced_optimal_series(v, c, 1.6, b).back();
     const auto t1 = std::chrono::steady_clock::now();
     const auto ex = bundling::exhaustive_optimal(12, b, evaluate);
     const auto t2 = std::chrono::steady_clock::now();

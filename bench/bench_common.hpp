@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "driver/runner.hpp"
 #include "obs/trace.hpp"
 #include "pricing/counterfactual.hpp"
 #include "util/table.hpp"
@@ -98,17 +99,9 @@ util::TextTable theta_sweep_table(const workload::FlowSet& flows,
     Row row;
     row.theta = theta;
     row.original = pricing::blended_profit(m);
-    for (std::size_t b = 1; b <= d.max_bundles; ++b) {
-      // The class-aware strategy needs one bundle per class; fall back to
-      // plain profit-weighted below that (same convention as
-      // capture_series).
-      const auto effective =
-          (strategy == pricing::Strategy::ClassAwareProfitWeighted &&
-           b < m.cost_class_count())
-              ? pricing::Strategy::ProfitWeighted
-              : strategy;
-      row.profits.push_back(
-          pricing::run_strategy(m, effective, b).pricing.profit);
+    for (const auto& result :
+         pricing::run_strategy_series(m, strategy, d.max_bundles)) {
+      row.profits.push_back(result.pricing.profit);
     }
     best_headroom =
         std::max(best_headroom, pricing::max_profit(m) - row.original);
@@ -133,6 +126,25 @@ inline const char* demand_name(demand::DemandKind kind) {
   return kind == demand::DemandKind::ConstantElasticity
              ? "Constant Elasticity Demand"
              : "Logit Demand";
+}
+
+// Robustness tables (Figs. 14 and 15) of a sweep report: one table per
+// demand model, one row per dataset, the envelope minimum per bundle
+// count.
+inline void print_min_capture(const driver::BatchReport& report) {
+  for (const auto kind : {demand::DemandKind::ConstantElasticity,
+                          demand::DemandKind::Logit}) {
+    std::cout << demand_name(kind) << ":\n";
+    util::TextTable table(
+        {"Data set", "B=1", "B=2", "B=3", "B=4", "B=5", "B=6"});
+    for (const auto& cell : report.cells) {
+      if (cell.cell.demand != kind) continue;
+      table.add_row(std::string(to_string(cell.cell.dataset)),
+                    cell.sweep.min_capture, 3);
+    }
+    table.print(std::cout);
+    std::cout << '\n';
+  }
 }
 
 inline void header(const char* figure, const char* summary) {

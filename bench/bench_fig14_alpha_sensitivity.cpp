@@ -1,10 +1,9 @@
 // Reproduces paper Figure 14: worst-case profit capture at each bundle
 // count as the price sensitivity alpha ranges over [1, 10], for all three
 // datasets and both demand models (profit-weighted bundling, as in the
-// paper's sensitivity analysis).
+// paper's sensitivity analysis). This is the batch driver's alpha-sweep
+// grid.
 #include "bench_common.hpp"
-
-#include "pricing/sensitivity.hpp"
 
 int main() {
   using namespace manytiers;
@@ -12,27 +11,7 @@ int main() {
                 "Minimum profit capture over alpha in [1, 10] at each "
                 "bundle count (profit-weighted).");
 
-  const std::vector<double> alphas{1.05, 1.1, 1.5, 2.0, 3.0, 5.0, 7.0, 10.0};
-  const auto cost = cost::make_linear_cost(0.2);
-  for (const auto kind : {demand::DemandKind::ConstantElasticity,
-                          demand::DemandKind::Logit}) {
-    std::cout << bench::demand_name(kind) << ":\n";
-    util::TextTable table(
-        {"Data set", "B=1", "B=2", "B=3", "B=4", "B=5", "B=6"});
-    for (const auto ds :
-         {workload::DatasetKind::EuIsp, workload::DatasetKind::Internet2,
-          workload::DatasetKind::Cdn}) {
-      const auto flows = bench::dataset(ds);
-      pricing::SensitivityInputs inputs;
-      inputs.flows = &flows;
-      inputs.cost_model = cost.get();
-      inputs.demand.kind = kind;
-      const auto sweep = pricing::sweep_alpha(inputs, alphas);
-      table.add_row(std::string(to_string(ds)), sweep.min_capture, 3);
-    }
-    table.print(std::cout);
-    std::cout << '\n';
-  }
+  bench::print_min_capture(driver::run_grid(driver::alpha_sweep_grid()));
   std::cout << "Shape check: even the worst alpha keeps a few bundles "
                "capturing a large share of the headroom — the headline\n"
                "result is not an artifact of a particular elasticity.\n";

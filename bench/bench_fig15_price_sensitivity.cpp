@@ -2,35 +2,18 @@
 // count as the starting blended rate P0 ranges over [$5, $30].
 #include "bench_common.hpp"
 
-#include "pricing/sensitivity.hpp"
-
 int main() {
   using namespace manytiers;
   bench::header("Figure 15 — Robustness to the blended rate P0",
                 "Minimum profit capture over P0 in [5, 30] at each bundle "
                 "count (profit-weighted).");
 
-  const std::vector<double> rates{5.0, 10.0, 15.0, 20.0, 25.0, 30.0};
-  const auto cost = cost::make_linear_cost(0.2);
-  for (const auto kind : {demand::DemandKind::ConstantElasticity,
-                          demand::DemandKind::Logit}) {
-    std::cout << bench::demand_name(kind) << ":\n";
-    util::TextTable table(
-        {"Data set", "B=1", "B=2", "B=3", "B=4", "B=5", "B=6"});
-    for (const auto ds :
-         {workload::DatasetKind::EuIsp, workload::DatasetKind::Internet2,
-          workload::DatasetKind::Cdn}) {
-      const auto flows = bench::dataset(ds);
-      pricing::SensitivityInputs inputs;
-      inputs.flows = &flows;
-      inputs.cost_model = cost.get();
-      inputs.demand.kind = kind;
-      const auto sweep = pricing::sweep_blended_price(inputs, rates);
-      table.add_row(std::string(to_string(ds)), sweep.min_capture, 3);
-    }
-    table.print(std::cout);
-    std::cout << '\n';
-  }
+  // Fig. 14's grid with the sweep axis moved from alpha to P0.
+  auto grid = driver::alpha_sweep_grid();
+  grid.name = "price-sweep";
+  grid.sweep = {driver::SweepAxis::Kind::BlendedPrice,
+                {5.0, 10.0, 15.0, 20.0, 25.0, 30.0}};
+  bench::print_min_capture(driver::run_grid(grid));
   std::cout << "Shape check: capture is insensitive to the blended rate — "
                "under CED the capture series is *exactly* P0-invariant\n"
                "(valuations and costs both rescale with P0), so the minimum "

@@ -3,35 +3,30 @@
 // extreme observed capture; we print both the minimum and the maximum.
 #include "bench_common.hpp"
 
-#include "pricing/sensitivity.hpp"
-
 int main() {
   using namespace manytiers;
   bench::header("Figure 16 — Robustness to the logit outside option s0",
                 "Min and max profit capture over s0 in (0, 0.9) at each "
                 "bundle count (profit-weighted, logit demand).");
 
-  const std::vector<double> shares{0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9};
-  const auto cost = cost::make_linear_cost(0.2);
+  // Fig. 14's grid under logit demand only, swept along s0.
+  auto grid = driver::alpha_sweep_grid();
+  grid.name = "s0-sweep";
+  grid.demand_kinds = {demand::DemandKind::Logit};
+  grid.sweep = {driver::SweepAxis::Kind::NoPurchaseShare,
+                {0.05, 0.1, 0.2, 0.35, 0.5, 0.7, 0.9}};
   util::TextTable table({"Data set", "Bound", "B=1", "B=2", "B=3", "B=4",
                          "B=5", "B=6"});
-  for (const auto ds :
-       {workload::DatasetKind::EuIsp, workload::DatasetKind::Internet2,
-        workload::DatasetKind::Cdn}) {
-    const auto flows = bench::dataset(ds);
-    pricing::SensitivityInputs inputs;
-    inputs.flows = &flows;
-    inputs.cost_model = cost.get();
-    inputs.demand.kind = demand::DemandKind::Logit;
-    const auto sweep = pricing::sweep_no_purchase_share(inputs, shares);
+  for (const auto& cell : driver::run_grid(grid).cells) {
     const auto emit = [&](const char* bound,
                           const std::vector<double>& values) {
-      std::vector<std::string> row{std::string(to_string(ds)), bound};
+      std::vector<std::string> row{std::string(to_string(cell.cell.dataset)),
+                                   bound};
       for (const double v : values) row.push_back(util::format_double(v, 3));
       table.add_row(std::move(row));
     };
-    emit("min", sweep.min_capture);
-    emit("max", sweep.max_capture);
+    emit("min", cell.sweep.min_capture);
+    emit("max", cell.sweep.max_capture);
   }
   table.print(std::cout);
   std::cout << "\nShape check: the share of consumers sitting out of the "

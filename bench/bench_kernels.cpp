@@ -57,7 +57,7 @@ void BM_OptimalDp(benchmark::State& state) {
                                *cost::make_linear_cost(0.2));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        bundling::ced_optimal(m.valuations(), m.costs(), 1.1, 4));
+        bundling::ced_optimal_series(m.valuations(), m.costs(), 1.1, 4));
   }
   state.SetComplexityN(state.range(0));
 }
@@ -69,7 +69,8 @@ void BM_ProfitWeightedBundling(benchmark::State& state) {
                                *cost::make_linear_cost(0.2));
   const auto pi = pricing::potential_profits(m);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(bundling::profit_weighted(pi, m.costs(), 4));
+    benchmark::DoNotOptimize(
+        bundling::profit_weighted_series(pi, m.costs(), 4));
   }
 }
 BENCHMARK(BM_ProfitWeightedBundling)->Range(64, 4096);

@@ -365,14 +365,10 @@ DpTables fill_dp_tables(std::size_t n, std::size_t b_max,
   if (b_max > 0 && b_max <= n) {
     counters.cells->add(b_max * (n + 1) - b_max * (b_max + 1) / 2);
   }
-  // The span args string is built only when the tracer is live; an
-  // untraced fill pays one relaxed load here and nothing else.
-  std::string span_args;
-  if (obs::Tracer::instance().active()) {
-    span_args = "{\"n\":" + std::to_string(n) +
-                ",\"b_max\":" + std::to_string(b_max) + "}";
-  }
-  const obs::Span span("interval_dp.fill", span_args);
+  // The span args are built only when the tracer is live; an untraced
+  // fill pays one relaxed load here and nothing else.
+  const obs::Span span("interval_dp.fill",
+                       obs::trace_args("n", n, "b_max", b_max));
 
   DpTables t;
   t.n = n;

@@ -61,31 +61,17 @@ Bundling exhaustive_optimal(
 
 namespace {
 
-void require_dp_args(std::size_t n, std::size_t n_bundles) {
-  if (n == 0) throw std::invalid_argument("interval_dp: no flows");
-  if (n_bundles == 0) {
-    throw std::invalid_argument("interval_dp: need at least one bundle");
-  }
-}
-
-// Shared single-count / series plumbing, templated on the concrete
-// objective so ced_optimal / logit_optimal compile to direct calls into
-// the kernel (the std::function entry points below instantiate it with
-// the type-erased callable).
-template <class Objective>
-Bundling interval_dp_impl(std::span<const std::size_t> order,
-                          std::size_t n_bundles, const Objective& value) {
-  require_dp_args(order.size(), n_bundles);
-  const std::size_t b_max = std::min(n_bundles, order.size());
-  const auto tables = fill_dp_tables(order.size(), b_max, value);
-  return extract_dp_bundling(tables, order, n_bundles);
-}
-
+// Series plumbing, templated on the concrete objective so the CED /
+// logit series compile to direct calls into the kernel (interval_dp_all
+// instantiates it with the type-erased callable).
 template <class Objective>
 std::vector<Bundling> interval_dp_all_impl(std::span<const std::size_t> order,
                                            std::size_t max_bundles,
                                            const Objective& value) {
-  require_dp_args(order.size(), max_bundles);
+  if (order.empty()) throw std::invalid_argument("interval_dp: no flows");
+  if (max_bundles == 0) {
+    throw std::invalid_argument("interval_dp: need at least one bundle");
+  }
   const std::size_t b_max = std::min(max_bundles, order.size());
   const auto tables = fill_dp_tables(order.size(), b_max, value);
   std::vector<Bundling> out;
@@ -98,23 +84,10 @@ std::vector<Bundling> interval_dp_all_impl(std::span<const std::size_t> order,
 
 }  // namespace
 
-Bundling interval_dp(std::span<const std::size_t> order, std::size_t n_bundles,
-                     const std::function<double(std::size_t, std::size_t)>&
-                         segment_value) {
-  return interval_dp_impl(order, n_bundles, segment_value);
-}
-
 std::vector<Bundling> interval_dp_all(
     std::span<const std::size_t> order, std::size_t max_bundles,
     const std::function<double(std::size_t, std::size_t)>& segment_value) {
   return interval_dp_all_impl(order, max_bundles, segment_value);
-}
-
-Bundling ced_optimal(std::span<const double> valuations,
-                     std::span<const double> costs, double alpha,
-                     std::size_t n_bundles) {
-  const auto obj = make_ced_objective(valuations, costs, alpha);
-  return interval_dp_impl(obj.ps.order, n_bundles, obj);
 }
 
 std::vector<Bundling> ced_optimal_series(std::span<const double> valuations,
@@ -123,13 +96,6 @@ std::vector<Bundling> ced_optimal_series(std::span<const double> valuations,
                                          std::size_t max_bundles) {
   const auto obj = make_ced_objective(valuations, costs, alpha);
   return interval_dp_all_impl(obj.ps.order, max_bundles, obj);
-}
-
-Bundling logit_optimal(std::span<const double> valuations,
-                       std::span<const double> costs, double alpha,
-                       std::size_t n_bundles) {
-  const auto obj = make_logit_objective(valuations, costs, alpha);
-  return interval_dp_impl(obj.ps.order, n_bundles, obj);
 }
 
 std::vector<Bundling> logit_optimal_series(std::span<const double> valuations,

@@ -16,6 +16,11 @@
 // flows by cost and split into intervals. That makes an O(B n^2) interval
 // DP exact; tests verify it against exhaustive enumeration on small
 // instances for both models.
+//
+// The DP is exposed only as series over bundle counts (one table fill
+// answers every b <= B): ced_optimal_series / logit_optimal_series for
+// the paper's objectives, interval_dp_all for a custom one.
+// exhaustive_optimal stays as the oracle.
 #pragma once
 
 #include <functional>
@@ -31,20 +36,11 @@ namespace manytiers::bundling {
 Bundling exhaustive_optimal(std::size_t n_flows, std::size_t max_bundles,
                             const std::function<double(const Bundling&)>& profit);
 
-// Exact optimal bundling for the CED model (interval DP, O(B n^2)).
-Bundling ced_optimal(std::span<const double> valuations,
-                     std::span<const double> costs, double alpha,
-                     std::size_t n_bundles);
-
-// Exact optimal bundling for the logit model (interval DP, O(B n^2)).
-Bundling logit_optimal(std::span<const double> valuations,
-                       std::span<const double> costs, double alpha,
-                       std::size_t n_bundles);
-
-// Series variants: element b-1 equals ced_optimal / logit_optimal at
-// bundle count b, for every b in 1..max_bundles, from ONE sort, one set
-// of prefix sums, and one DP table fill (interval_dp_all) — O(n^2 B)
-// total instead of O(n^2 B^2) for the per-b loop.
+// Exact optimal bundling for the CED / logit model at every bundle
+// count: element b-1 is the optimal partition into at most b bundles,
+// for b = 1..max_bundles, from ONE sort, one set of prefix sums, and one
+// DP table fill — O(n^2 B) total instead of O(n^2 B^2) for a per-b
+// loop. A single count b is element b-1 of the series up to b.
 std::vector<Bundling> ced_optimal_series(std::span<const double> valuations,
                                          std::span<const double> costs,
                                          double alpha,
@@ -54,19 +50,13 @@ std::vector<Bundling> logit_optimal_series(std::span<const double> valuations,
                                            double alpha,
                                            std::size_t max_bundles);
 
-// Shared machinery: maximize the sum of `segment_value(i, j)` (value of
-// the sorted segment [i, j)) over partitions of the `order`-sorted flows
-// into at most `n_bundles` intervals. Returns bundles of original indices.
-Bundling interval_dp(std::span<const std::size_t> order,
-                     std::size_t n_bundles,
-                     const std::function<double(std::size_t, std::size_t)>&
-                         segment_value);
-
-// One DP fill, every bundle count: element b-1 is identical to
-// interval_dp(order, b, segment_value) for b = 1..max_bundles. The DP
-// rows are shared across bundle counts (row b only reads row b-1), so
-// filling once and reconstructing per b gives bit-identical results at
-// 1/max_bundles of the cost.
+// The custom-objective entry point: maximize the sum of
+// `segment_value(i, j)` (value of the sorted segment [i, j)) over
+// partitions of the `order`-sorted flows into at most b intervals, for
+// every b = 1..max_bundles. Element b-1 holds bundles of original
+// indices. The DP rows are shared across bundle counts (row b only reads
+// row b-1), so one fill serves the whole series, and element b-1 is
+// identical to a fill of exactly b rows.
 std::vector<Bundling> interval_dp_all(
     std::span<const std::size_t> order, std::size_t max_bundles,
     const std::function<double(std::size_t, std::size_t)>& segment_value);
@@ -82,11 +72,11 @@ std::vector<Bundling> interval_dp_all(
 // for A/B byte-compares.
 //
 // Instrumentation (obs registry, per-thread sharded, safe under
-// parallel sweeps): "bundling.dp_fills" counts table fills (shared by
-// interval_dp and interval_dp_all; tests enable the registry and assert
-// a capture series costs exactly one fill), "bundling.dp_cells" the DP
-// cells computed, and "bundling.dp_fastpath" / "bundling.dp_fallbacks"
-// partition auto-kernel fills by whether the monotonicity probe let the
-// divide-and-conquer path run.
+// parallel sweeps): "bundling.dp_fills" counts table fills (tests
+// enable the registry and assert a capture series costs exactly one
+// fill), "bundling.dp_cells" the DP cells computed, and
+// "bundling.dp_fastpath" / "bundling.dp_fallbacks" partition auto-kernel
+// fills by whether the monotonicity probe let the divide-and-conquer
+// path run.
 
 }  // namespace manytiers::bundling

@@ -32,17 +32,76 @@ std::vector<std::size_t> sorted_desc(std::span<const double> keys) {
   return idx;
 }
 
+std::vector<std::size_t> sorted_by_cost(std::span<const double> costs) {
+  std::vector<std::size_t> idx(costs.size());
+  std::iota(idx.begin(), idx.end(), std::size_t{0});
+  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
+    return costs[a] < costs[b];
+  });
+  return idx;
+}
+
 Bundling drop_empty(Bundling b) {
   std::erase_if(b, [](const Bundle& bundle) { return bundle.empty(); });
   return b;
 }
 
-}  // namespace
-
-Bundling token_bucket(std::span<const double> weights, std::size_t n_bundles) {
-  const auto order = sorted_desc(weights);
-  return token_bucket_ordered(weights, order, n_bundles);
+// Element b-1 is `at(b)`, for b = 1..max_bundles.
+template <class At>
+std::vector<Bundling> series(std::size_t max_bundles, const char* what,
+                             const At& at) {
+  if (max_bundles == 0) {
+    throw std::invalid_argument(std::string(what) +
+                                ": need at least one bundle");
+  }
+  std::vector<Bundling> out;
+  out.reserve(max_bundles);
+  for (std::size_t b = 1; b <= max_bundles; ++b) out.push_back(at(b));
+  return out;
 }
+
+// Token bucket at every bundle count over one shared traversal order.
+std::vector<Bundling> bucket_series(std::span<const double> weights,
+                                    std::span<const std::size_t> order,
+                                    std::size_t max_bundles) {
+  return series(max_bundles, "token_bucket", [&](std::size_t b) {
+    return token_bucket_ordered(weights, order, b);
+  });
+}
+
+std::vector<double> inverse_costs(std::span<const double> costs) {
+  require_weights(costs, "cost_weighted");
+  std::vector<double> inv(costs.size());
+  std::transform(costs.begin(), costs.end(), inv.begin(),
+                 [](double c) { return 1.0 / c; });
+  return inv;
+}
+
+Bundling cost_division_with_cmax(std::span<const double> costs,
+                                 std::size_t n_bundles, double cmax) {
+  const double width = cmax / double(n_bundles);
+  Bundling bundles(n_bundles);
+  for (std::size_t i = 0; i < costs.size(); ++i) {
+    const std::size_t j =
+        width > 0.0
+            ? std::min(n_bundles - 1, std::size_t(costs[i] / width))
+            : 0;
+    bundles[j].push_back(i);
+  }
+  return drop_empty(std::move(bundles));
+}
+
+Bundling index_division_ordered(std::span<const std::size_t> idx,
+                                std::size_t n_bundles) {
+  Bundling bundles(std::min(n_bundles, idx.size()));
+  for (std::size_t r = 0; r < idx.size(); ++r) {
+    const std::size_t j = r * bundles.size() / idx.size();
+    bundles[j].push_back(idx[r]);
+  }
+  return drop_empty(std::move(bundles));
+}
+
+}  // namespace
 
 Bundling token_bucket_ordered(std::span<const double> weights,
                               std::span<const std::size_t> order,
@@ -77,21 +136,7 @@ Bundling token_bucket_ordered(std::span<const double> weights,
 
 std::vector<Bundling> token_bucket_series(std::span<const double> weights,
                                           std::size_t max_bundles) {
-  if (max_bundles == 0) {
-    throw std::invalid_argument("token_bucket: need at least one bundle");
-  }
-  const auto order = sorted_desc(weights);
-  std::vector<Bundling> out;
-  out.reserve(max_bundles);
-  for (std::size_t b = 1; b <= max_bundles; ++b) {
-    out.push_back(token_bucket_ordered(weights, order, b));
-  }
-  return out;
-}
-
-Bundling demand_weighted(std::span<const double> demands,
-                         std::size_t n_bundles) {
-  return token_bucket(demands, n_bundles);
+  return bucket_series(weights, sorted_desc(weights), max_bundles);
 }
 
 std::vector<Bundling> demand_weighted_series(std::span<const double> demands,
@@ -99,45 +144,9 @@ std::vector<Bundling> demand_weighted_series(std::span<const double> demands,
   return token_bucket_series(demands, max_bundles);
 }
 
-namespace {
-std::vector<double> inverse_costs(std::span<const double> costs) {
-  require_weights(costs, "cost_weighted");
-  std::vector<double> inv(costs.size());
-  std::transform(costs.begin(), costs.end(), inv.begin(),
-                 [](double c) { return 1.0 / c; });
-  return inv;
-}
-}  // namespace
-
-Bundling cost_weighted(std::span<const double> costs, std::size_t n_bundles) {
-  return token_bucket(inverse_costs(costs), n_bundles);
-}
-
 std::vector<Bundling> cost_weighted_series(std::span<const double> costs,
                                            std::size_t max_bundles) {
   return token_bucket_series(inverse_costs(costs), max_bundles);
-}
-
-namespace {
-std::vector<std::size_t> sorted_by_cost(std::span<const double> costs) {
-  std::vector<std::size_t> idx(costs.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  std::stable_sort(idx.begin(), idx.end(), [&](std::size_t a, std::size_t b) {
-    return costs[a] < costs[b];
-  });
-  return idx;
-}
-}  // namespace
-
-Bundling profit_weighted(std::span<const double> potential_profits,
-                         std::span<const double> costs,
-                         std::size_t n_bundles) {
-  if (costs.size() != potential_profits.size()) {
-    throw std::invalid_argument("profit_weighted: costs size mismatch");
-  }
-  // Tiers are contiguous cost ranges carrying equal potential profit.
-  const auto order = sorted_by_cost(costs);
-  return token_bucket_ordered(potential_profits, order, n_bundles);
 }
 
 std::vector<Bundling> profit_weighted_series(
@@ -146,89 +155,26 @@ std::vector<Bundling> profit_weighted_series(
   if (costs.size() != potential_profits.size()) {
     throw std::invalid_argument("profit_weighted: costs size mismatch");
   }
-  if (max_bundles == 0) {
-    throw std::invalid_argument("token_bucket: need at least one bundle");
-  }
-  const auto order = sorted_by_cost(costs);
-  std::vector<Bundling> out;
-  out.reserve(max_bundles);
-  for (std::size_t b = 1; b <= max_bundles; ++b) {
-    out.push_back(token_bucket_ordered(potential_profits, order, b));
-  }
-  return out;
-}
-
-namespace {
-Bundling cost_division_with_cmax(std::span<const double> costs,
-                                 std::size_t n_bundles, double cmax) {
-  const double width = cmax / double(n_bundles);
-  Bundling bundles(n_bundles);
-  for (std::size_t i = 0; i < costs.size(); ++i) {
-    const std::size_t j =
-        width > 0.0
-            ? std::min(n_bundles - 1, std::size_t(costs[i] / width))
-            : 0;
-    bundles[j].push_back(i);
-  }
-  return drop_empty(std::move(bundles));
-}
-
-Bundling index_division_ordered(std::span<const std::size_t> idx,
-                                std::size_t n_bundles) {
-  Bundling bundles(std::min(n_bundles, idx.size()));
-  for (std::size_t r = 0; r < idx.size(); ++r) {
-    const std::size_t j = r * bundles.size() / idx.size();
-    bundles[j].push_back(idx[r]);
-  }
-  return drop_empty(std::move(bundles));
-}
-}  // namespace
-
-Bundling cost_division(std::span<const double> costs, std::size_t n_bundles) {
-  require_weights(costs, "cost_division");
-  if (n_bundles == 0) {
-    throw std::invalid_argument("cost_division: need at least one bundle");
-  }
-  const double cmax = *std::max_element(costs.begin(), costs.end());
-  return cost_division_with_cmax(costs, n_bundles, cmax);
+  // Tiers are contiguous cost ranges carrying equal potential profit.
+  return bucket_series(potential_profits, sorted_by_cost(costs), max_bundles);
 }
 
 std::vector<Bundling> cost_division_series(std::span<const double> costs,
                                            std::size_t max_bundles) {
   require_weights(costs, "cost_division");
-  if (max_bundles == 0) {
-    throw std::invalid_argument("cost_division: need at least one bundle");
-  }
   const double cmax = *std::max_element(costs.begin(), costs.end());
-  std::vector<Bundling> out;
-  out.reserve(max_bundles);
-  for (std::size_t b = 1; b <= max_bundles; ++b) {
-    out.push_back(cost_division_with_cmax(costs, b, cmax));
-  }
-  return out;
-}
-
-Bundling index_division(std::span<const double> costs, std::size_t n_bundles) {
-  require_weights(costs, "index_division");
-  if (n_bundles == 0) {
-    throw std::invalid_argument("index_division: need at least one bundle");
-  }
-  return index_division_ordered(sorted_by_cost(costs), n_bundles);
+  return series(max_bundles, "cost_division", [&](std::size_t b) {
+    return cost_division_with_cmax(costs, b, cmax);
+  });
 }
 
 std::vector<Bundling> index_division_series(std::span<const double> costs,
                                             std::size_t max_bundles) {
   require_weights(costs, "index_division");
-  if (max_bundles == 0) {
-    throw std::invalid_argument("index_division: need at least one bundle");
-  }
   const auto idx = sorted_by_cost(costs);
-  std::vector<Bundling> out;
-  out.reserve(max_bundles);
-  for (std::size_t b = 1; b <= max_bundles; ++b) {
-    out.push_back(index_division_ordered(idx, b));
-  }
-  return out;
+  return series(max_bundles, "index_division", [&](std::size_t b) {
+    return index_division_ordered(idx, b);
+  });
 }
 
 Bundling class_aware_profit_weighted(
@@ -298,7 +244,7 @@ Bundling class_aware_profit_weighted(
       w.push_back(potential_profits[i]);
       c.push_back(costs[i]);
     }
-    const Bundling local = profit_weighted(w, c, alloc[k]);
+    const Bundling local = token_bucket_ordered(w, sorted_by_cost(c), alloc[k]);
     for (const auto& bundle : local) {
       Bundle global;
       global.reserve(bundle.size());

@@ -18,13 +18,12 @@ constexpr std::string_view kContext = "batch report";
 
 }  // namespace
 
-pricing::SweepResult empty_envelope(std::size_t max_bundles) {
-  pricing::SweepResult sweep;
+Envelope empty_envelope(std::size_t max_bundles) {
+  Envelope sweep;
   sweep.min_capture.assign(max_bundles,
                            std::numeric_limits<double>::infinity());
   sweep.max_capture.assign(max_bundles,
                            -std::numeric_limits<double>::infinity());
-  sweep.points = 0;
   return sweep;
 }
 

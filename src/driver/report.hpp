@@ -20,10 +20,18 @@
 #include <vector>
 
 #include "driver/grid.hpp"
-#include "pricing/sensitivity.hpp"
 #include "util/table.hpp"
 
 namespace manytiers::driver {
+
+// A cell's capture envelope over its parameter points (the paper's
+// §4.3.2 robustness methodology: the worst and best capture observed
+// across the swept range). Indexed by bundle count - 1.
+struct Envelope {
+  std::vector<double> min_capture;
+  std::vector<double> max_capture;
+  std::size_t points = 0;  // parameter points folded in
+};
 
 // Schema v2 (optional, --per-point): one record per evaluated parameter
 // point, keyed by the point's global index within its cell, so a diff
@@ -38,7 +46,7 @@ struct CellResult {
   GridCell cell;
   // Envelope over the parameter points this run owned; points == 0 (an
   // untouched cell of a shard) keeps +/-inf sentinels in min/max.
-  pricing::SweepResult sweep;
+  Envelope sweep;
   double wall_ms = 0.0;  // summed task wall time; never compared bitwise
   std::vector<PointCapture> detail;  // per-point capture, schema v2 only
 };
@@ -58,7 +66,7 @@ struct BatchReport {
 
 // A zero-point envelope: +/-inf sentinels that min/max folds replace on
 // the first real point. The neutral element of merge_shards.
-pricing::SweepResult empty_envelope(std::size_t max_bundles);
+Envelope empty_envelope(std::size_t max_bundles);
 
 // Render / parse the BATCH_JSON line format. `include_timing` off drops
 // the per-cell and total wall-clock fields, producing a byte-stable

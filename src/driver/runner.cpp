@@ -116,10 +116,8 @@ BatchReport run_grid(const ExperimentGrid& grid, const RunOptions& options) {
   std::vector<std::optional<pricing::Market>> markets(market_keys.size());
   const bool tracing = obs::Tracer::instance().active();
   {
-    const obs::Span phase(
-        "run_grid.calibrate",
-        tracing ? "{\"markets\":" + std::to_string(market_keys.size()) + "}"
-                : std::string());
+    const obs::Span phase("run_grid.calibrate",
+                          obs::trace_args("markets", market_keys.size()));
     util::parallel_for(
         market_keys.size(),
         [&](std::size_t m) {
@@ -159,10 +157,8 @@ BatchReport run_grid(const ExperimentGrid& grid, const RunOptions& options) {
   std::vector<std::vector<double>> series(tasks.size());
   std::vector<double> task_ms(tasks.size(), 0.0);
   {
-    const obs::Span phase(
-        "run_grid.sweep",
-        tracing ? "{\"tasks\":" + std::to_string(tasks.size()) + "}"
-                : std::string());
+    const obs::Span phase("run_grid.sweep",
+                          obs::trace_args("tasks", tasks.size()));
     util::parallel_for(
         tasks.size(),
         [&](std::size_t t) {
@@ -175,9 +171,8 @@ BatchReport run_grid(const ExperimentGrid& grid, const RunOptions& options) {
           std::optional<obs::Span> span;
           if (tracing && obs::Tracer::instance().sample_keep(task_key)) {
             span.emplace("run_grid.task",
-                         "{\"cell\":" + std::to_string(tasks[t].cell) +
-                             ",\"point\":" + std::to_string(tasks[t].point) +
-                             "}");
+                         obs::trace_args("cell", tasks[t].cell, "point",
+                                         tasks[t].point));
           }
           const auto start = Clock::now();
           series[t] = pricing::capture_series(*markets[tasks[t].market],

@@ -118,13 +118,9 @@ DistanceDelta DynamicNetwork::apply(std::span<const NetworkUpdate> batch) {
       registry.counter("netdyn.affected_vertices");
   static obs::Counter& changed_counter =
       registry.counter("netdyn.changed_pairs");
-  const obs::Span span(
-      "netdyn.apply",
-      obs::Tracer::instance().active()
-          ? "{\"updates\":" + std::to_string(batch.size()) +
-                ",\"kernel\":\"" + std::string(to_string(options_.kernel)) +
-                "\"}"
-          : std::string());
+  const obs::Span span("netdyn.apply",
+                       obs::trace_args("updates", batch.size(), "kernel",
+                                       to_string(options_.kernel)));
 
   // Phase A: validate and apply every op on working copies, so a bad op
   // anywhere in the batch leaves the network untouched.

@@ -24,11 +24,8 @@ GridSession::ApplyStats GridSession::apply(
       obs::Registry::instance().counter("netdyn.dirty_markets");
   static obs::Counter& dirty_cells_counter =
       obs::Registry::instance().counter("netdyn.dirty_cells");
-  const obs::Span span(
-      "netdyn.grid_session.apply",
-      obs::Tracer::instance().active()
-          ? "{\"updates\":" + std::to_string(batch.size()) + "}"
-          : std::string());
+  const obs::Span span("netdyn.grid_session.apply",
+                       obs::trace_args("updates", batch.size()));
 
   DynamicFlows::Delta delta = flows_.apply(batch);
   ApplyStats stats{std::move(delta.distances), delta.recosted_flows,

@@ -32,6 +32,8 @@
 #include <string_view>
 #include <vector>
 
+#include "json/flat_json.hpp"
+
 namespace manytiers::obs {
 
 class Tracer {
@@ -112,6 +114,31 @@ class Span {
   bool emitted_ = false;
   long tid_ = 0;
 };
+
+namespace detail {
+inline void add_fields(json::Writer&) {}
+template <typename V, typename... Rest>
+void add_fields(json::Writer& writer, std::string_view name, const V& value,
+                const Rest&... rest) {
+  writer.field(name, value);
+  add_fields(writer, rest...);
+}
+}  // namespace detail
+
+// A span's args object from alternating names and values, written with
+// the JSON codec — trace_args("n", n, "b_max", b) is {"n":400,"b_max":6}
+// — and built only while tracing is active, so an untraced call costs
+// the Span's one relaxed load and returns an empty string.
+template <typename... NamesAndValues>
+std::string trace_args(const NamesAndValues&... fields) {
+  std::string out;
+  if (Tracer::instance().active()) {
+    json::Writer writer(out);
+    detail::add_fields(writer, fields...);
+    writer.close();
+  }
+  return out;
+}
 
 // Enable tracing from MANYTIERS_TRACE when set and not already active —
 // the hook for flagless binaries (the bench suite calls this once).

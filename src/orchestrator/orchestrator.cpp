@@ -23,6 +23,7 @@
 #include "obs/trace.hpp"
 #include "orchestrator/manifest.hpp"
 #include "orchestrator/process.hpp"
+#include "util/cli.hpp"
 #include "util/file.hpp"
 
 namespace manytiers::orchestrator {
@@ -105,11 +106,13 @@ struct TraceCollector {
     }
   }
 
-  void instant(const std::string& name, long tid,
-               const std::string& args_json) {
-    if (on) {
-      events.push_back(obs::instant_event(name, now_us(), pid, tid, args_json));
-    }
+  // An instant with at most one numeric arg, rendered by the codec.
+  void instant(const std::string& name, long tid, std::string_view arg = {},
+               double value = 0.0) {
+    if (!on) return;
+    std::string args;
+    if (!arg.empty()) json::Writer(args).field(arg, value).close();
+    events.push_back(obs::instant_event(name, now_us(), pid, tid, args));
   }
 
   void process_name(const std::string& name) {
@@ -277,6 +280,14 @@ double median_of(std::vector<double> values) {
 
 }  // namespace
 
+double retry_backoff_ms(double base_ms, std::size_t failures) {
+  // 2^64 times the largest base is still finite, so the cap sees a
+  // number, not an overflow.
+  const auto doublings = std::min<std::size_t>(failures - 1, 64);
+  return std::min(std::ldexp(base_ms, static_cast<int>(doublings)),
+                  static_cast<double>(cli::kMaxMillis));
+}
+
 Result orchestrate(const Options& options, EventLog& log) {
   if (options.workers == 0) {
     throw std::invalid_argument("orchestrate: workers must be >= 1");
@@ -385,7 +396,7 @@ Result orchestrate(const Options& options, EventLog& log) {
                       .field("shard", k)
                       .field("attempts", shard.next_attempt));
         trace.instant("resume-skip shard " + std::to_string(k),
-                      static_cast<long>(k), {});
+                      static_cast<long>(k));
       } else {
         manifest.shards[k].state = "open";
         shard.part.reset();
@@ -432,16 +443,14 @@ Result orchestrate(const Options& options, EventLog& log) {
       return;
     }
     save_manifest(manifest_path(work).string(), manifest);
-    const double backoff =
-        options.backoff_ms *
-        static_cast<double>(1ull << (shard.failures - 1));
+    const double backoff = retry_backoff_ms(options.backoff_ms, shard.failures);
     log.write(Event("retry")
                   .field("shard", k)
                   .field("attempt", attempt_id)
                   .field("reason", reason)
                   .field("backoff_ms", backoff));
     trace.instant("retry shard " + std::to_string(k), static_cast<long>(k),
-                  "{\"backoff_ms\":" + std::to_string(backoff) + "}");
+                  "backoff_ms", backoff);
     shard.state = Shard::State::Pending;
     shard.not_before = Clock::now() + from_ms(backoff);
   };
@@ -693,8 +702,7 @@ Result orchestrate(const Options& options, EventLog& log) {
                         .field("age_ms", age)
                         .field("threshold_ms", threshold));
           trace.instant("hedge-spawn shard " + std::to_string(k),
-                        static_cast<long>(k),
-                        "{\"age_ms\":" + std::to_string(age) + "}");
+                        static_cast<long>(k), "age_ms", age);
         }
       }
     }

@@ -139,6 +139,12 @@ struct Result {
   std::size_t hedge_mismatches = 0;
 };
 
+// The retry delay after a shard's `failures`-th failure (failures >= 1):
+// base_ms * 2^(failures - 1), capped at cli::kMaxMillis (2147483647 ms,
+// the ceiling of every *-ms flag), so no retry budget can overflow the
+// doubling or the clock conversion.
+double retry_backoff_ms(double base_ms, std::size_t failures);
+
 // Run the whole orchestration: plan (or resume), spawn, supervise,
 // validate, merge. Throws std::invalid_argument on malformed options
 // (unknown grid, workers == 0, missing worker binary / work dir, resume

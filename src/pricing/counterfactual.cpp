@@ -32,62 +32,23 @@ std::vector<Strategy> figure9_strategies() {
           Strategy::CostDivision, Strategy::IndexDivision};
 }
 
-namespace {
-
-bundling::Bundling build_bundling(const Market& market, Strategy strategy,
-                                  std::size_t n_bundles) {
-  const auto& costs = market.costs();
-  switch (strategy) {
-    case Strategy::Optimal:
-      switch (market.demand_spec().kind) {
-        case demand::DemandKind::ConstantElasticity:
-          return bundling::ced_optimal(market.valuations(), costs,
-                                       market.demand_spec().alpha, n_bundles);
-        case demand::DemandKind::Logit:
-          return bundling::logit_optimal(market.valuations(), costs,
-                                         market.demand_spec().alpha,
-                                         n_bundles);
-      }
-      throw std::logic_error("build_bundling: unknown demand kind");
-    case Strategy::DemandWeighted:
-      return bundling::demand_weighted(market.flows().demands(), n_bundles);
-    case Strategy::CostWeighted:
-      return bundling::cost_weighted(costs, n_bundles);
-    case Strategy::ProfitWeighted:
-      return bundling::profit_weighted(potential_profits(market), costs,
-                                       n_bundles);
-    case Strategy::CostDivision:
-      return bundling::cost_division(costs, n_bundles);
-    case Strategy::IndexDivision:
-      return bundling::index_division(costs, n_bundles);
-    case Strategy::ClassAwareProfitWeighted:
-      return bundling::class_aware_profit_weighted(
-          potential_profits(market), costs, market.cost_classes(), n_bundles);
-  }
-  throw std::invalid_argument("unknown strategy");
-}
-
-}  // namespace
-
 StrategyResult run_strategy(const Market& market, Strategy strategy,
                             std::size_t n_bundles) {
-  if (n_bundles == 0) {
-    throw std::invalid_argument("run_strategy: need at least one bundle");
-  }
+  // Element b-1 of the series up to b: the same bundling capture_series,
+  // the batch report and the serve schedules evaluate at b tiers.
   StrategyResult res;
   res.strategy = strategy;
   res.requested_bundles = n_bundles;
-  res.pricing = price_bundles(market, build_bundling(market, strategy,
-                                                     n_bundles));
+  res.pricing = price_bundles(
+      market, bundling_series(market, strategy, n_bundles).back());
   res.capture = profit_capture(market, res.pricing.profit);
   return res;
 }
 
-// One bundling per bundle count in 1..max_bundles, sharing the per-
-// strategy invariant work across the series: the Optimal strategy fills
-// its interval-DP table once (interval_dp_all) instead of once per b,
-// and the weighted/division heuristics sort once. Results are identical
-// to calling build_bundling at each b.
+// The one switch from a Strategy to bundlings. Each case is a series
+// that shares the per-strategy invariant work across bundle counts: the
+// Optimal strategy fills its interval-DP table once instead of once per
+// b, and the weighted/division heuristics sort once.
 std::vector<bundling::Bundling> bundling_series(const Market& market,
                                                 Strategy strategy,
                                                 std::size_t max_bundles) {
@@ -107,7 +68,7 @@ std::vector<bundling::Bundling> bundling_series(const Market& market,
                                                 market.demand_spec().alpha,
                                                 max_bundles);
       }
-      throw std::logic_error("build_bundling_series: unknown demand kind");
+      throw std::logic_error("bundling_series: unknown demand kind");
     case Strategy::DemandWeighted:
       return bundling::demand_weighted_series(market.flows().demands(),
                                               max_bundles);
@@ -125,15 +86,13 @@ std::vector<bundling::Bundling> bundling_series(const Market& market,
       // classes; report the best feasible coarser bundling instead (plain
       // profit-weighted) so the series starts at b = 1 like the paper's
       // figures. The potential-profit vector is shared across the series.
+      // A calibrated market has at least one flow, so at least one class.
       const auto profits = potential_profits(market);
-      const std::size_t n_classes = market.cost_class_count();
-      std::vector<bundling::Bundling> out;
-      out.reserve(max_bundles);
-      for (std::size_t b = 1; b <= max_bundles; ++b) {
-        out.push_back(b < n_classes
-                          ? bundling::profit_weighted(profits, costs, b)
-                          : bundling::class_aware_profit_weighted(
-                                profits, costs, market.cost_classes(), b));
+      auto out =
+          bundling::profit_weighted_series(profits, costs, max_bundles);
+      for (std::size_t b = market.cost_class_count(); b <= max_bundles; ++b) {
+        out[b - 1] = bundling::class_aware_profit_weighted(
+            profits, costs, market.cost_classes(), b);
       }
       return out;
     }
@@ -144,8 +103,7 @@ std::vector<bundling::Bundling> bundling_series(const Market& market,
 std::vector<double> capture_series(const Market& market, Strategy strategy,
                                    std::size_t max_bundles) {
   // A zero-length series used to be returned silently, and downstream
-  // min/max envelope code indexed into it; fail loudly instead, matching
-  // run_strategy's contract.
+  // min/max envelope code indexed into it; fail loudly instead.
   if (max_bundles == 0) {
     throw std::invalid_argument("capture_series: need at least one bundle");
   }

@@ -1,5 +1,11 @@
 // Counterfactual driver: run a bundling strategy at a tier count and
 // report profit capture (the machinery behind paper Figs. 8-16).
+//
+// One evaluation path: bundling_series is the only place a Strategy
+// becomes bundlings, one per tier count 1..B. Everything else prices
+// its elements — capture_series and run_strategy_series the whole
+// series, run_strategy the last element of the series up to b — so a
+// strategy answers the same at b tiers whichever entry point asks.
 #pragma once
 
 #include <string_view>
@@ -34,16 +40,16 @@ struct StrategyResult {
   double capture = 0.0;
 };
 
-// Build the strategy's bundling for `n_bundles` tiers, price it, and
-// report capture. ClassAwareProfitWeighted requires n_bundles >= the
-// market's cost class count.
+// Price element n_bundles-1 of bundling_series(market, strategy,
+// n_bundles) and report capture: equal to capture_series(...)[n_bundles
+// - 1], class-aware fallback below the class count included.
 StrategyResult run_strategy(const Market& market, Strategy strategy,
                             std::size_t n_bundles);
 
 // One bundling per bundle count in 1..max_bundles, sharing the per-
 // strategy invariant work across the series (the Optimal strategy fills
-// its interval-DP table once, the heuristics sort once). Identical to
-// calling the strategy at each b; ClassAwareProfitWeighted falls back to
+// its interval-DP table once, the heuristics sort once). Element b-1
+// does not depend on max_bundles. ClassAwareProfitWeighted falls back to
 // plain profit-weighted below the class count so the series starts at
 // b = 1 like the paper's figures.
 std::vector<bundling::Bundling> bundling_series(const Market& market,

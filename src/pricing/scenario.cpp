@@ -33,11 +33,8 @@ Market Market::calibrate(const workload::FlowSet& flows,
   static obs::Counter& calibrations =
       obs::Registry::instance().counter("market.calibrations");
   calibrations.add();
-  const obs::Span span(
-      "market.calibrate",
-      obs::Tracer::instance().active()
-          ? "{\"flows\":" + std::to_string(flows.size()) + "}"
-          : std::string());
+  const obs::Span span("market.calibrate",
+                       obs::trace_args("flows", flows.size()));
   Market m;
   m.spec_ = demand_spec;
   m.blended_price_ = blended_price;

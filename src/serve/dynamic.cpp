@@ -18,11 +18,8 @@ DynamicState::Derived DynamicState::apply(
     std::uint64_t epoch, std::size_t threads) {
   static obs::Counter& rebuilt_counter =
       obs::Registry::instance().counter("serve.markets_recalibrated");
-  const obs::Span span(
-      "serve.dynamic_reload",
-      obs::Tracer::instance().active()
-          ? "{\"updates\":" + std::to_string(batch.size()) + "}"
-          : std::string());
+  const obs::Span span("serve.dynamic_reload",
+                       obs::trace_args("updates", batch.size()));
 
   const std::vector<std::size_t> dirty = flows_.apply(batch).dirty;
 

@@ -393,20 +393,27 @@ void Server::accept_loop(int listen_fd) {
       continue;
     }
     apply_socket_timeouts(fd);
-    connections.add();
-    active_gauge.set(static_cast<std::int64_t>(
-        live_conns_.fetch_add(1, std::memory_order_relaxed) + 1));
     auto conn = std::make_unique<Conn>();
     conn->fd = fd;
     Conn* raw = conn.get();
     {
       // Publish and start under one lock: a drain/reap holding the
       // mutex must never see a Conn whose thread member is still being
-      // move-assigned on this thread.
+      // move-assigned on this thread. The drain flag is re-checked here
+      // because drain() sets it before its first pass over conns_: a
+      // connection is either in that pass or refused below, never
+      // admitted after drain() found the table empty (its final join
+      // would then wait on a handler nobody half-closed).
       const std::lock_guard<std::mutex> lock(conns_mutex_);
-      conns_.push_back(std::move(conn));
-      raw->thread = std::thread([this, raw] { handle_connection(raw); });
+      if (!draining_.load(std::memory_order_relaxed)) {
+        connections.add();
+        active_gauge.set(static_cast<std::int64_t>(
+            live_conns_.fetch_add(1, std::memory_order_relaxed) + 1));
+        conns_.push_back(std::move(conn));
+        raw->thread = std::thread([this, raw] { handle_connection(raw); });
+      }
     }
+    if (conn) refuse_connection_draining(fd);
   }
 }
 

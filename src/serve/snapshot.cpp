@@ -1,6 +1,7 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <numeric>
 #include <stdexcept>
@@ -191,12 +192,9 @@ std::shared_ptr<const Snapshot> build_snapshot(
   obs::Registry& registry = obs::Registry::instance();
   static obs::Counter& built_counter =
       registry.counter("serve.snapshot_markets");
-  const bool tracing = obs::Tracer::instance().active();
-  const obs::Span span(
-      "serve.build_snapshot",
-      tracing ? "{\"markets\":" + std::to_string(n_markets) +
-                    ",\"epoch\":" + std::to_string(options.epoch) + "}"
-              : std::string());
+  const obs::Span span("serve.build_snapshot",
+                       obs::trace_args("markets", n_markets, "epoch",
+                                       options.epoch));
 
   util::parallel_for(
       n_markets,
@@ -220,11 +218,12 @@ std::shared_ptr<const Snapshot> build_snapshot(
 
 double query_relative_cost(const MarketEntry& entry, double q, double d,
                            std::size_t cls) {
-  if (!(q > 0.0)) {
-    throw std::invalid_argument("price query: demand q must be > 0");
+  if (!std::isfinite(q) || q <= 0.0) {
+    throw std::invalid_argument("price query: demand q must be finite and > 0");
   }
-  if (!(d >= 0.0)) {
-    throw std::invalid_argument("price query: distance d must be >= 0");
+  if (!std::isfinite(d) || d < 0.0) {
+    throw std::invalid_argument(
+        "price query: distance d must be finite and >= 0");
   }
   workload::Flow query;
   query.demand_mbps = q;
@@ -277,12 +276,23 @@ double query_relative_cost(const MarketEntry& entry, double q, double d,
 Quote price_flow(const MarketEntry& entry, const Schedule& schedule, double q,
                  double d, std::size_t cls) {
   const double f = query_relative_cost(entry, q, d, cls);
+  // Clamp into the schedule's overall span first: past either end, gaps
+  // to every tier grow by the same far-away offset and can round equal,
+  // which would hand a very far flow the cheapest tier. Inside the span
+  // the clamp is the identity, so no in-range answer moves.
+  double lo = std::numeric_limits<double>::infinity();
+  double hi = -lo;
+  for (const TierInfo& tier : schedule.tiers) {
+    lo = std::min(lo, tier.rel_cost_lo);
+    hi = std::max(hi, tier.rel_cost_hi);
+  }
+  const double at = std::clamp(f, lo, hi);
   std::size_t best = 0;
   double best_gap = std::numeric_limits<double>::infinity();
   for (std::size_t t = 0; t < schedule.tiers.size(); ++t) {
     const TierInfo& tier = schedule.tiers[t];
     const double gap =
-        std::max({tier.rel_cost_lo - f, f - tier.rel_cost_hi, 0.0});
+        std::max({tier.rel_cost_lo - at, at - tier.rel_cost_hi, 0.0});
     if (gap < best_gap) {
       best_gap = gap;
       best = t;

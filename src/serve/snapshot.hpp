@@ -129,13 +129,15 @@ struct Quote {
 // context. `cls` addresses the cost model's classes (regional: 0 metro,
 // 1 national, 2 international; dest-type: 0 on-net, 1 off-net;
 // continuous models: must be 0). Throws std::invalid_argument on a bad
-// class or non-positive demand / negative distance.
+// class, a non-finite demand or distance, non-positive demand or
+// negative distance.
 double query_relative_cost(const MarketEntry& entry, double q, double d,
                            std::size_t cls);
 
 // Quote a new flow against a tier schedule: the first tier whose
 // relative-cost span contains the flow's relative cost, or the nearest
-// span when none does (ties resolve to the lower tier).
+// span when none does (ties resolve to the lower tier). A flow past
+// either end of the schedule is quoted as if it sat at that end.
 Quote price_flow(const MarketEntry& entry, const Schedule& schedule, double q,
                  double d, std::size_t cls);
 

@@ -56,13 +56,9 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
         // so a sweep renders as utilization bars with stragglers
         // visible as the longest chunk span. Costs one relaxed load
         // when tracing is off.
-        const obs::Span span(
-            "parallel_for.chunk",
-            obs::Tracer::instance().active()
-                ? "{\"begin\":" + std::to_string(begin) +
-                      ",\"end\":" + std::to_string(end) + "}"
-                : std::string(),
-            static_cast<long>(t) + 1);
+        const obs::Span span("parallel_for.chunk",
+                             obs::trace_args("begin", begin, "end", end),
+                             static_cast<long>(t) + 1);
         for (std::size_t i = begin; i < end; ++i) body(i);
       } catch (...) {
         errors[t] = std::current_exception();

@@ -89,7 +89,7 @@ TEST(IntervalDp, SplitsAtTheObviousBoundary) {
   const auto value = [](std::size_t i, std::size_t j) {
     return (j - i == 2) ? 10.0 : 0.0;  // reward segments of exactly 2
   };
-  const auto b = interval_dp(order, 2, value);
+  const auto b = interval_dp_all(order, 2, value).back();
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(b[0], (Bundle{0, 1}));
   EXPECT_EQ(b[1], (Bundle{2, 3}));
@@ -98,15 +98,15 @@ TEST(IntervalDp, SplitsAtTheObviousBoundary) {
 TEST(IntervalDp, MapsBackToOriginalIndices) {
   const std::vector<std::size_t> order{3, 1, 0, 2};  // cost-sorted order
   const auto value = [](std::size_t, std::size_t) { return 1.0; };
-  const auto b = interval_dp(order, 4, value);
+  const auto b = interval_dp_all(order, 4, value).back();
   EXPECT_NO_THROW(validate(b, 4));
 }
 
 TEST(IntervalDp, Validates) {
   const auto unit = [](std::size_t, std::size_t) { return 0.0; };
-  EXPECT_THROW(interval_dp({}, 2, unit), std::invalid_argument);
+  EXPECT_THROW(interval_dp_all({}, 2, unit), std::invalid_argument);
   const std::vector<std::size_t> order{0};
-  EXPECT_THROW(interval_dp(order, 0, unit), std::invalid_argument);
+  EXPECT_THROW(interval_dp_all(order, 0, unit), std::invalid_argument);
 }
 
 // --- The load-bearing property: the interval DP is exact. ---
@@ -131,7 +131,7 @@ TEST_P(DpMatchesExhaustive, CedInstances) {
   const auto inst = random_instance(GetParam(), 8);
   const demand::CedModel model(1.6);
   for (const std::size_t n_bundles : {2u, 3u}) {
-    const auto dp = ced_optimal(inst.v, inst.c, 1.6, n_bundles);
+    const auto dp = ced_optimal_series(inst.v, inst.c, 1.6, n_bundles).back();
     const auto ex =
         exhaustive_optimal(inst.v.size(), n_bundles, [&](const Bundling& b) {
           return ced_bundling_profit(model, inst.v, inst.c, b);
@@ -147,7 +147,8 @@ TEST_P(DpMatchesExhaustive, LogitInstances) {
   const auto inst = random_instance(GetParam() + 1000, 7);
   const demand::LogitModel model(1.2, 100.0);
   for (const std::size_t n_bundles : {2u, 3u}) {
-    const auto dp = logit_optimal(inst.v, inst.c, 1.2, n_bundles);
+    const auto dp =
+        logit_optimal_series(inst.v, inst.c, 1.2, n_bundles).back();
     const auto ex =
         exhaustive_optimal(inst.v.size(), n_bundles, [&](const Bundling& b) {
           return logit_bundling_profit(model, inst.v, inst.c, b);
@@ -166,7 +167,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, DpMatchesExhaustive,
 
 TEST(IntervalDpAll, ElementWiseIdenticalToPerCountDp) {
   // The single-pass series must be indistinguishable from re-filling the
-  // DP at every bundle count — exact Bundling equality, not just profit.
+  // DP up to each bundle count alone — exact Bundling equality, not just
+  // profit.
   const auto inst = random_instance(7, 24);
   std::vector<std::size_t> order(inst.v.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
@@ -184,7 +186,7 @@ TEST(IntervalDpAll, ElementWiseIdenticalToPerCountDp) {
   const auto all = interval_dp_all(order, max_bundles, value);
   ASSERT_EQ(all.size(), max_bundles);
   for (std::size_t b = 1; b <= max_bundles; ++b) {
-    EXPECT_EQ(all[b - 1], interval_dp(order, b, value)) << "b=" << b;
+    EXPECT_EQ(all[b - 1], interval_dp_all(order, b, value).back()) << "b=" << b;
   }
 }
 
@@ -204,8 +206,10 @@ TEST(OptimalSeries, MatchPerCountCallsExactly) {
   ASSERT_EQ(ced_series.size(), max_bundles);
   ASSERT_EQ(logit_series.size(), max_bundles);
   for (std::size_t b = 1; b <= max_bundles; ++b) {
-    EXPECT_EQ(ced_series[b - 1], ced_optimal(inst.v, inst.c, 1.4, b));
-    EXPECT_EQ(logit_series[b - 1], logit_optimal(inst.v, inst.c, 1.2, b));
+    EXPECT_EQ(ced_series[b - 1],
+              ced_optimal_series(inst.v, inst.c, 1.4, b).back());
+    EXPECT_EQ(logit_series[b - 1],
+              logit_optimal_series(inst.v, inst.c, 1.2, b).back());
   }
 }
 
@@ -256,7 +260,7 @@ TEST(CedOptimal, ProfitIsMonotoneInBundleCount) {
   const demand::CedModel model(1.3);
   double prev = -1e300;
   for (std::size_t n = 1; n <= 8; ++n) {
-    const auto b = ced_optimal(inst.v, inst.c, 1.3, n);
+    const auto b = ced_optimal_series(inst.v, inst.c, 1.3, n).back();
     const double profit = ced_bundling_profit(model, inst.v, inst.c, b);
     EXPECT_GE(profit, prev - 1e-9);
     prev = profit;
@@ -268,7 +272,7 @@ TEST(LogitOptimal, ProfitIsMonotoneInBundleCount) {
   const demand::LogitModel model(1.1, 500.0);
   double prev = -1e300;
   for (std::size_t n = 1; n <= 8; ++n) {
-    const auto b = logit_optimal(inst.v, inst.c, 1.1, n);
+    const auto b = logit_optimal_series(inst.v, inst.c, 1.1, n).back();
     const double profit = logit_bundling_profit(model, inst.v, inst.c, b);
     EXPECT_GE(profit, prev - 1e-9);
     prev = profit;
@@ -277,7 +281,7 @@ TEST(LogitOptimal, ProfitIsMonotoneInBundleCount) {
 
 TEST(CedOptimal, BundlesAreContiguousInCost) {
   const auto inst = random_instance(44, 30);
-  const auto b = ced_optimal(inst.v, inst.c, 2.0, 4);
+  const auto b = ced_optimal_series(inst.v, inst.c, 2.0, 4).back();
   // For each pair of bundles, cost ranges must not interleave.
   for (std::size_t x = 0; x < b.size(); ++x) {
     for (std::size_t y = x + 1; y < b.size(); ++y) {
@@ -298,7 +302,7 @@ TEST(CedOptimal, BundlesAreContiguousInCost) {
 TEST(CedOptimal, SingleBundleProfitMatchesBlendedFormula) {
   const auto inst = random_instance(45, 10);
   const demand::CedModel model(1.5);
-  const auto b = ced_optimal(inst.v, inst.c, 1.5, 1);
+  const auto b = ced_optimal_series(inst.v, inst.c, 1.5, 1).back();
   ASSERT_EQ(b.size(), 1u);
   const double profit = ced_bundling_profit(model, inst.v, inst.c, b);
   const double price = model.bundle_price(inst.v, inst.c);
@@ -310,12 +314,12 @@ TEST(CedOptimal, SingleBundleProfitMatchesBlendedFormula) {
 TEST(OptimalBundling, ValidatesArguments) {
   const std::vector<double> v{1.0, 2.0};
   const std::vector<double> c{1.0, -1.0};
-  EXPECT_THROW(ced_optimal(v, c, 2.0, 2), std::invalid_argument);
-  EXPECT_THROW(ced_optimal(v, std::vector<double>{1.0}, 2.0, 2),
+  EXPECT_THROW(ced_optimal_series(v, c, 2.0, 2), std::invalid_argument);
+  EXPECT_THROW(ced_optimal_series(v, std::vector<double>{1.0}, 2.0, 2),
                std::invalid_argument);
-  EXPECT_THROW(ced_optimal(v, std::vector<double>{1.0, 1.0}, 1.0, 2),
+  EXPECT_THROW(ced_optimal_series(v, std::vector<double>{1.0, 1.0}, 1.0, 2),
                std::invalid_argument);
-  EXPECT_THROW(logit_optimal(v, std::vector<double>{1.0, 1.0}, 0.0, 2),
+  EXPECT_THROW(logit_optimal_series(v, std::vector<double>{1.0, 1.0}, 0.0, 2),
                std::invalid_argument);
 }
 

@@ -430,6 +430,34 @@ TEST(Orchestrator, KilledOrchestratorResumesToIdenticalBytes) {
   fs::remove(work_dir + ".kill.log");
 }
 
+TEST(RetryBackoff, DoublesPerFailureUpToTheMillisCeiling) {
+  EXPECT_EQ(retry_backoff_ms(250.0, 1), 250.0);
+  EXPECT_EQ(retry_backoff_ms(250.0, 2), 500.0);
+  EXPECT_EQ(retry_backoff_ms(250.0, 4), 2000.0);
+  // 250 * 2^39 ms is past the cap every *-ms value has.
+  EXPECT_EQ(retry_backoff_ms(250.0, 40), 2147483647.0);
+  EXPECT_EQ(retry_backoff_ms(250.0, 1000), 2147483647.0);
+  // Past 64 failures the old 1ull << (failures - 1) shifted out of range.
+  EXPECT_EQ(retry_backoff_ms(0.0, 65), 0.0);
+  EXPECT_EQ(retry_backoff_ms(0.0, 1000), 0.0);
+}
+
+TEST(Orchestrator, SeventyRetriesOfACrashingShardStayDefined) {
+  // 71 attempts of a shard that crashes every time, with no backoff: the
+  // 65th failure used to shift a 64-bit one by 64 (undefined behaviour,
+  // which the UBSan leg turns into a failure). The run must just fail.
+  Fixture fx("many_retries");
+  fx.options.grid = "smoke";
+  fx.options.workers = 1;
+  fx.options.retries = 70;
+  fx.options.backoff_ms = 0.0;
+  fx.options.fault = "crash:0:1000";
+  const auto result = fx.run();
+  EXPECT_FALSE(result.ok);
+  ASSERT_EQ(result.shards.size(), 1u);
+  EXPECT_EQ(result.shards[0].attempts, 71u);
+}
+
 TEST(Orchestrator, MalformedOptionsThrowUsageErrors) {
   Fixture fx("usage");
   fx.options.workers = 0;

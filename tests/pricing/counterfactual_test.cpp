@@ -122,9 +122,10 @@ TEST(Counterfactual, ClassAwareSeriesFallsBackBelowClassCount) {
 }
 
 TEST(CaptureSeries, MatchesPerCountRunStrategyExactly) {
-  // The single-pass series shares sorts, DP tables, and cached baseline
-  // profits across bundle counts; the captures must still be the exact
-  // doubles the per-count path produces.
+  // The series shares sorts, DP tables, and cached baseline profits
+  // across bundle counts; run_strategy(b) evaluates the series up to b
+  // only, so this pins element b-1 as independent of the series length
+  // — the captures must be the exact same doubles.
   for (const auto kind : {demand::DemandKind::ConstantElasticity,
                           demand::DemandKind::Logit}) {
     const auto m = eu_market(kind);
@@ -143,15 +144,19 @@ TEST(CaptureSeries, MatchesPerCountRunStrategyExactly) {
 }
 
 TEST(CaptureSeries, ClassAwareMatchesPerCountWithFallback) {
+  // Below the class count the class-aware strategy falls back to plain
+  // profit-weighted; run_strategy answers there too (it used to throw
+  // "need at least one bundle per class" at b = 1 while capture_series
+  // reported the fallback), and with the same doubles.
   const auto flows = workload::generate_eu_isp({.seed = 42, .n_flows = 60});
   const auto cost = cost::make_dest_type_cost(0.1);
   const auto m = Market::calibrate(flows, DemandSpec{}, *cost, 20.0);
+  ASSERT_GT(m.cost_class_count(), 1u);
   const auto series = capture_series(m, Strategy::ClassAwareProfitWeighted, 5);
   for (std::size_t b = 1; b <= 5; ++b) {
-    const auto effective = b < m.cost_class_count()
-                               ? Strategy::ProfitWeighted
-                               : Strategy::ClassAwareProfitWeighted;
-    EXPECT_EQ(series[b - 1], run_strategy(m, effective, b).capture);
+    EXPECT_EQ(series[b - 1],
+              run_strategy(m, Strategy::ClassAwareProfitWeighted, b).capture)
+        << "b=" << b;
   }
 }
 

@@ -169,6 +169,19 @@ TEST_F(ServerTest, StructuredErrorsKeepTheConnectionUsable) {
   EXPECT_TRUE(response.ok) << response.error;
 }
 
+TEST_F(ServerTest, InfiniteDistanceIsABadRequest) {
+  // The codec reads the inf token its writer emits, so a price query can
+  // carry d = inf on the wire; the daemon must refuse it instead of
+  // quoting a tier.
+  Client client = Client::connect_unix(*socket_path_);
+  const Response response = parse_response(client.call_raw(
+      R"({"id":5,"kind":"price","market":"EU ISP/ced/linear",)"
+      R"("strategy":"Profit-weighted","bundles":0,"q":120,"d":inf,"class":0})"));
+  EXPECT_FALSE(response.ok);
+  EXPECT_EQ(response.code, kCodeBadRequest);
+  EXPECT_EQ(response.id, 5u);
+}
+
 // --- The malformed-frame corpus ---
 
 TEST_F(ServerTest, GarbagePayloadGetsStructuredError) {

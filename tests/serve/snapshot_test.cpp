@@ -4,6 +4,7 @@
 #include "serve/snapshot.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <stdexcept>
 
 #include "gtest/gtest.h"
@@ -158,6 +159,30 @@ TEST_F(SmokeSnapshotTest, QueryValidationThrows) {
                std::invalid_argument);  // d must be >= 0
   EXPECT_THROW(price_flow(*entry, schedule, 1.0, 10.0, 1),
                std::invalid_argument);  // linear model has no classes
+}
+
+TEST_F(SmokeSnapshotTest, NonFiniteDemandOrDistanceIsRejected) {
+  const MarketEntry* entry = snap().markets.front().get();
+  const Schedule& schedule = entry->schedule(0, snap().grid.max_bundles);
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_THROW(price_flow(*entry, schedule, 120.0, inf, 0),
+               std::invalid_argument);
+  EXPECT_THROW(price_flow(*entry, schedule, inf, 800.0, 0),
+               std::invalid_argument);
+  EXPECT_THROW(query_relative_cost(*entry, 120.0, inf, 0),
+               std::invalid_argument);
+}
+
+TEST_F(SmokeSnapshotTest, VeryFarFlowGetsTheMostExpensiveTier) {
+  // At d = 1e308 the flow's relative cost is so far past every span that
+  // its gap to each tier rounds to the same value, and the lower-tier
+  // tie-break used to quote it at the cheapest tier.
+  const MarketEntry* entry = snap().markets.front().get();
+  ASSERT_EQ(entry->key, "EU ISP/ced/linear");
+  const Schedule& schedule = entry->schedule(0, snap().grid.max_bundles);
+  const std::size_t top = schedule.tiers.size() - 1;
+  EXPECT_EQ(price_flow(*entry, schedule, 120.0, 800.0, 0).tier, top);
+  EXPECT_EQ(price_flow(*entry, schedule, 120.0, 1e308, 0).tier, top);
 }
 
 // Class-addressed queries against the discrete cost models: regional

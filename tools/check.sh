@@ -2,7 +2,8 @@
 # Tier-1 gate plus sanitizer pass for the process-supervision paths.
 #
 #   tools/check.sh            # full build + full ctest + bench gates +
-#                             # serve smoke (incl. live stats polls), then
+#                             # serve smoke (incl. live stats polls) +
+#                             # a short perfbench round, then
 #                             # ASan+UBSan build + `ctest -L
 #                             # "obs|orchestrator|serve|netdyn|topology|driver|json"`,
 #                             # then TSan build +
@@ -149,6 +150,19 @@ if command -v python3 >/dev/null 2>&1; then
 else
   echo "check.sh: python3 not found, skipping serve overload gate"
 fi
+
+echo "== perfbench: Release build + one short batch-costmodels round =="
+# Neither tier-1 nor the legs above compile perfbench/, which builds the
+# src/ tree as its own Release project and calls the library directly;
+# an API it uses can only break silently there. One short round builds
+# it, runs the batch workload and checks its answers against the
+# committed capture table.
+pb_log="$repo/build/perfbench.log"
+mkdir -p "$repo/build"
+(cd "$repo" && CARGO_TARGET_DIR="$repo/build/perfbench" python3 perfbench/run.py \
+  --workload batch-costmodels --seed 1 --seconds 2 --trace 0) | tee "$pb_log"
+tail -n 1 "$pb_log" | grep -q '"correct": true'
+echo "check.sh: perfbench ok (built, ran, correct)"
 
 if [[ "$fast" == 1 ]]; then
   echo "check.sh: --fast given, skipping sanitizer leg"
