@@ -1,22 +1,24 @@
-// Fill-time scaling curves for the bundling DP kernel: naive O(n^2 B)
-// reference vs the divide-and-conquer O(n B log n) fast path, over a
-// grid of market sizes and bundle counts for both paper objectives.
+// Fill-time scaling curves for the bundling DP kernel: the naive
+// O(n^2 B) reference (fill_dp_tables_naive) vs the production fill
+// (fill_dp_tables), whose probe passes on these tie-free markets so it
+// runs the divide-and-conquer O(n B log n) path, over a grid of market
+// sizes and bundle counts for both paper objectives. Every fill is
+// serial.
 //
 // Modes:
-//   bench_dp_scaling                 both kernels, speedup table, and a
+//   bench_dp_scaling                 both fills, speedup table, and a
 //                                    self-gate: exits 1 if the fast path
 //                                    is not >= 3x at the largest quick
-//                                    config or the kernels' tables are
+//                                    config or the two fills' tables are
 //                                    not byte-identical.
-//   bench_dp_scaling --kernel naive  one kernel only, kernel-free
+//   bench_dp_scaling --kernel naive  one fill only, kernel-free
 //   bench_dp_scaling --kernel dc     BENCH_JSON names (dp_fill_ced_n...),
 //                                    so tools/bench_diff.py can compare
 //                                    a naive log against a dc log
 //                                    key-by-key (--min-speedup gate in
 //                                    tools/check.sh).
 //   --full                           adds n in {50k, 100k} and B = 32;
-//                                    requires >= 5x at n=50k B=10 and
-//                                    adds a thread-scaling leg.
+//                                    requires >= 5x at n=50k B=10.
 #include "bench_common.hpp"
 
 #include <cstring>
@@ -25,7 +27,6 @@
 
 #include "bundling/dp_kernel.hpp"
 #include "bundling/objectives.hpp"
-#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -46,14 +47,6 @@ Instance random_instance(std::uint64_t seed, std::size_t n) {
     inst.c.push_back(rng.uniform(0.2, 5.0));
   }
   return inst;
-}
-
-bundling::DpKernelOptions kernel_options(bundling::DpKernel kernel,
-                                         std::size_t threads = 0) {
-  bundling::DpKernelOptions opt;
-  opt.kernel = kernel;
-  opt.threads = threads;
-  return opt;
 }
 
 bool tables_identical(const bundling::DpTables& a,
@@ -133,9 +126,13 @@ int main(int argc, char** argv) {
           is_ced ? bundling::LogitObjective{}
                  : bundling::make_logit_objective(inst.v, inst.c, 1.1);
 
-      const auto fill = [&](const bundling::DpKernelOptions& opt) {
-        return is_ced ? bundling::fill_dp_tables(cfg.n, cfg.b, ced, opt)
-                      : bundling::fill_dp_tables(cfg.n, cfg.b, logit, opt);
+      const auto fill = [&](bool naive) {
+        if (naive) {
+          return is_ced ? bundling::fill_dp_tables_naive(cfg.n, cfg.b, ced)
+                        : bundling::fill_dp_tables_naive(cfg.n, cfg.b, logit);
+        }
+        return is_ced ? bundling::fill_dp_tables(cfg.n, cfg.b, ced)
+                      : bundling::fill_dp_tables(cfg.n, cfg.b, logit);
       };
 
       const double naive_evals = static_cast<double>(cfg.n) *
@@ -165,10 +162,7 @@ int main(int argc, char** argv) {
               std::string("dp_fill") + suffix +
                   (suffix_kernel ? "_naive" : ""),
               cfg.n, 1,
-              [&] {
-                naive_tables =
-                    fill(kernel_options(bundling::DpKernel::kNaive, 1));
-              },
+              [&] { naive_tables = fill(true); },
               naive_evals > 1e9 ? heavy : light);
         }
       }
@@ -176,10 +170,7 @@ int main(int argc, char** argv) {
         dc_ms = bench::run_timed(
             std::string("dp_fill") + suffix + (suffix_kernel ? "_dc" : ""),
             cfg.n, 1,
-            [&] {
-              dc_tables =
-                  fill(kernel_options(bundling::DpKernel::kDivideConquer, 1));
-            },
+            [&] { dc_tables = fill(false); },
             light);
       }
 
@@ -204,40 +195,6 @@ int main(int argc, char** argv) {
       }
     }
     table.print(std::cout);
-    std::cout << '\n';
-  }
-
-  // Thread-scaling leg: rows at n >= 50k cross the parallel threshold,
-  // so the dc fill should gain from extra workers while remaining
-  // bit-identical (asserted by ctest; here we just report the curve).
-  if (full && run_dc) {
-    std::cout << "Thread scaling (dc kernel, CED, B=10):\n";
-    const std::size_t hw = util::default_thread_count();
-    for (const std::size_t n : {50000u, 100000u}) {
-      const auto inst = random_instance(42 + n, n);
-      const auto obj = bundling::make_ced_objective(inst.v, inst.c, 1.6);
-      double base_ms = 0.0;
-      std::vector<std::size_t> leg_threads{1};
-      if (hw != 1) leg_threads.push_back(hw);
-      for (const std::size_t threads : leg_threads) {
-        const double ms = bench::run_timed(
-            "dp_fill_threads_ced_n" + std::to_string(n) + "_b10", n, threads,
-            [&] {
-              bundling::fill_dp_tables(
-                  n, std::size_t{10}, obj,
-                  kernel_options(bundling::DpKernel::kDivideConquer, threads));
-            },
-            bench::TimingOptions{.warmup = 1, .reps = 3});
-        if (threads == 1) base_ms = ms;
-        std::cout << "  n=" << n << " threads=" << threads << ": "
-                  << util::format_double(ms, 2) << " ms"
-                  << (threads > 1 && ms > 0.0
-                          ? "  (speedup " +
-                                util::format_double(base_ms / ms, 2) + "x)"
-                          : "")
-                  << '\n';
-      }
-    }
     std::cout << '\n';
   }
 

@@ -1,5 +1,6 @@
-// Per-update wall-time of the dynamic-network kernels: naive full
-// re-Dijkstra vs incremental Ramalingam–Reps repair, on ring-plus-chords
+// Per-update wall-time of dynamic-network maintenance: the naive
+// reference (DynamicNetwork::scratch_distances(), a full re-Dijkstra)
+// vs apply()'s incremental Ramalingam–Reps repair, on ring-plus-chords
 // backbones under single-link reweigh streams.
 //
 // The sweep axis is the *affected fraction* — the share of sources whose
@@ -11,13 +12,13 @@
 // acceptance number is a >= 5x median per-update win at <= 10% affected.
 //
 // Modes:
-//   bench_netdyn                       both kernels, affected-fraction
+//   bench_netdyn                       both paths, affected-fraction
 //                                      sweep table, bit-identity check,
-//                                      and a self-gate: exits 1 if the
-//                                      incremental kernel is not >= 5x
+//                                      and a self-gate: exits 1 if
+//                                      incremental repair is not >= 5x
 //                                      on a gate config or the final
 //                                      matrices differ.
-//   bench_netdyn --kernel naive        one kernel, gate configs only,
+//   bench_netdyn --kernel naive        one path, gate configs only,
 //   bench_netdyn --kernel incremental  kernel-free BENCH_JSON names
 //                                      (netdyn_update_n...) with one
 //                                      record per update — bench_diff.py
@@ -123,17 +124,23 @@ std::size_t distinct_sources(const netdyn::DistanceDelta& delta) {
   return sources;
 }
 
-StreamResult run_stream(netdyn::SsspKernel kernel,
-                        const topology::Network& base,
+// Times one update per sample: apply() itself, or (naive) the
+// scratch_distances() recompute after an untimed apply().
+StreamResult run_stream(bool naive, const topology::Network& base,
                         const std::vector<netdyn::NetworkUpdate>& stream,
                         const std::string& json_name) {
-  netdyn::DynamicNetwork dyn(base, {kernel});
+  netdyn::DynamicNetwork dyn(base);
   std::vector<double> samples;
   samples.reserve(stream.size());
   double affected_sum = 0.0;
+  topology::DistanceMatrix scratch;
   for (const auto& update : stream) {
-    const auto start = std::chrono::steady_clock::now();
+    auto start = std::chrono::steady_clock::now();
     const netdyn::DistanceDelta delta = dyn.apply(update);
+    if (naive) {
+      start = std::chrono::steady_clock::now();
+      scratch = dyn.scratch_distances();
+    }
     const auto stop = std::chrono::steady_clock::now();
     const double ms =
         std::chrono::duration<double, std::milli>(stop - start).count();
@@ -151,7 +158,7 @@ StreamResult run_stream(netdyn::SsspKernel kernel,
                          ? samples[mid]
                          : 0.5 * (samples[mid - 1] + samples[mid]);
   result.mean_affected_pct = affected_sum / double(stream.size());
-  result.final_distances = dyn.distances();
+  result.final_distances = naive ? scratch : dyn.distances();
   return result;
 }
 
@@ -224,15 +231,11 @@ int main(int argc, char** argv) {
   if (full) configs.push_back({1024, 1.04, true});
 
   if (!kernel_arg.empty()) {
-    // Single-kernel gate mode: emit only the gate configs, one
+    // Single-path gate mode: emit only the gate configs, one
     // BENCH_JSON record per update under a kernel-free name, so a naive
     // log and an incremental log diff key-by-key.
-    netdyn::SsspKernel kernel;
-    if (kernel_arg == "naive") {
-      kernel = netdyn::SsspKernel::kNaive;
-    } else if (kernel_arg == "incremental") {
-      kernel = netdyn::SsspKernel::kIncremental;
-    } else {
+    const bool naive = kernel_arg == "naive";
+    if (!naive && kernel_arg != "incremental") {
       std::cerr << "bench_netdyn: unknown kernel '" << kernel_arg << "'"
                 << std::endl;
       return 2;
@@ -244,7 +247,7 @@ int main(int argc, char** argv) {
       const auto stream =
           reweigh_stream(base, stream_candidates(base, true), 11,
                          kUpdatesPerStream, config.factor);
-      run_stream(kernel, base, stream, gate_name(config));
+      run_stream(naive, base, stream, gate_name(config));
     }
     return 0;
   }
@@ -263,10 +266,9 @@ int main(int argc, char** argv) {
     const auto stream =
         reweigh_stream(base, stream_candidates(base, config.gate), 11,
                        kUpdatesPerStream, config.factor);
-    const auto naive =
-        run_stream(netdyn::SsspKernel::kNaive, base, stream, "");
+    const auto naive = run_stream(true, base, stream, "");
     const auto incr =
-        run_stream(netdyn::SsspKernel::kIncremental, base, stream,
+        run_stream(false, base, stream,
                    config.gate ? gate_name(config) : std::string());
     if (!(naive.final_distances == incr.final_distances)) identical = false;
     const double speedup = incr.median_ms > 0.0
@@ -283,16 +285,16 @@ int main(int argc, char** argv) {
   std::cout << "\n";
 
   if (!identical) {
-    std::cout << "GATE FAIL: kernels disagree — the final distance matrices "
-                 "are not bit-identical\n";
+    std::cout << "GATE FAIL: repair and scratch disagree — the final "
+                 "distance matrices are not bit-identical\n";
     return 1;
   }
   if (!gate_ok) {
-    std::cout << "GATE FAIL: incremental kernel below 5x on a gentle "
+    std::cout << "GATE FAIL: incremental repair below 5x on a gentle "
                  "(gate) config\n";
     return 1;
   }
-  std::cout << "gate ok: incremental >= 5x on every gentle config, kernels "
-               "bit-identical\n";
+  std::cout << "gate ok: incremental >= 5x on every gentle config, "
+               "bit-identical to scratch\n";
   return 0;
 }

@@ -125,11 +125,9 @@ int main() {
     table.print(std::cout);
     std::cout << '\n';
   }
-  // Large-n leg: 20k flows pushes each DP row past the kernel's
-  // parallel threshold, so sweep workers exercise the
-  // nested-parallelism guard (the DP must stay serial inside a
-  // parallel_for worker) end-to-end. Results must still be
-  // bit-identical across thread counts.
+  // Large-n leg: 20k flows make each DP fill the widest any sweep
+  // runs (a serial fill inside each parallel_for task). Results must
+  // still be bit-identical across thread counts.
   {
     const auto large = fixed_workload(20000, {1.1, 2.0});
     std::cout << "Large-n leg (20000 flows, CED, 2 alphas):\n";

@@ -1,8 +1,5 @@
 #include "bundling/dp_kernel.hpp"
 
-#include <cstdlib>
-#include <cstring>
-
 namespace manytiers::bundling {
 
 namespace dp_detail {
@@ -19,24 +16,11 @@ const DpCounters& dp_counters() {
 
 }  // namespace dp_detail
 
-DpKernelOptions dp_kernel_options_from_env() {
-  DpKernelOptions opt;
-  if (const char* env = std::getenv("MANYTIERS_DP_KERNEL")) {
-    if (std::strcmp(env, "naive") == 0) {
-      opt.kernel = DpKernel::kNaive;
-    } else if (std::strcmp(env, "dc") == 0) {
-      opt.kernel = DpKernel::kDivideConquer;
-    }
-    // "auto", empty, or unrecognized: keep the default (probe + D&C).
-  }
-  return opt;
-}
-
 Bundling extract_dp_bundling(const DpTables& t,
                              std::span<const std::size_t> order,
                              std::size_t n_bundles) {
   const std::size_t n = t.n;
-  const std::size_t b_cap = std::min(n_bundles, n);
+  const std::size_t b_cap = std::min({n_bundles, n, t.b_max});
   // More bundles can never hurt (the objective is superadditive), but take
   // the max over b anyway to stay correct for arbitrary segment values.
   std::size_t b_best = 1;

@@ -2,7 +2,7 @@
 //
 // This is the top hot path of every sweep: best[b][k] = max over i of
 // best[b-1][i] + value(i, k), filled for b = 1..b_max, k = b..n. The
-// kernel is layered (ROADMAP "beat O(n^2 B)"):
+// kernel has two layers (ROADMAP "beat O(n^2 B)"):
 //
 //  1. Layout + devirtualization — fill_dp_tables<Objective> is templated
 //     on the segment objective, so the CED/logit entry points compile to
@@ -18,21 +18,18 @@
 //     probe samples the quadrangle inequality per fill and falls back
 //     to the naive scan when it fails, so arbitrary objectives stay
 //     exact.
-//  3. Deterministic parallelism — rows wider than a threshold fill in
-//     parallel over util::parallel_for. The work decomposition is a
-//     pure function of the row width (never of the thread count), each
-//     chunk keeps the serial scan order, and ties break lowest-split-
-//     wins exactly like the serial fill — so the tables are
-//     bit-identical at any thread count, extending the sweep engine's
-//     determinism guarantee through this layer.
 //
-// Equality contract: for any objective, kernel, thread count, and
-// options, fill_dp_tables produces tables bit-identical to the naive
-// reference fill whenever the leftmost argmax of each row (as computed
-// in floating point) is nondecreasing in k — which the probe checks on
-// samples and the cross-check tests verify end-to-end on seeded
-// markets. When the probe fails, the naive fill runs and identity is
-// trivial.
+// fill_dp_tables is the one production fill. fill_dp_tables_naive is the
+// O(n^2 B) reference; the cross-check tests and bench_dp_scaling call it
+// by name.
+//
+// Equality contract: for any objective, fill_dp_tables produces tables
+// bit-identical to fill_dp_tables_naive whenever the leftmost argmax of
+// each row (as computed in floating point) is nondecreasing in k — which
+// the probe checks on samples and the cross-check tests verify
+// end-to-end on seeded markets. When the probe fails, the naive fill
+// runs and identity is trivial. Every fill is serial: the sweep engine
+// owns the parallelism, one task per fill.
 #pragma once
 
 #include <algorithm>
@@ -41,13 +38,11 @@
 #include <limits>
 #include <span>
 #include <stdexcept>
-#include <string>
 #include <vector>
 
 #include "bundling/bundle.hpp"
 #include "obs/registry.hpp"
 #include "obs/trace.hpp"
-#include "util/parallel.hpp"
 
 namespace manytiers::bundling {
 
@@ -78,38 +73,11 @@ struct DpTables {
   }
 };
 
-enum class DpKernel {
-  kAuto,           // probe total monotonicity; D&C on pass, naive on fail
-  kNaive,          // force the O(n^2) reference scan
-  kDivideConquer,  // force D&C (no probe; caller asserts monotonicity)
-};
-
-struct DpKernelOptions {
-  DpKernel kernel = DpKernel::kAuto;
-  // Rows at least this wide fill via parallel_for (unless the fill is
-  // already running inside a parallel_for worker — nested fan-out would
-  // oversubscribe; the sweep engine owns the outer parallelism).
-  std::size_t parallel_row_threshold = 16384;
-  // Target columns per parallel chunk. Chunk boundaries are a function
-  // of (row width, grain, max_chunks) only — never the thread count —
-  // which is what keeps parallel fills bit-identical to serial ones.
-  std::size_t parallel_grain = 8192;
-  std::size_t max_chunks = 64;
-  // Worker threads for parallel rows; 0 defers to MANYTIERS_THREADS /
-  // hardware_concurrency (util::parallel_for semantics).
-  std::size_t threads = 0;
-};
-
-// Options with the kernel choice taken from MANYTIERS_DP_KERNEL
-// ("auto" | "naive" | "dc"; unset or unrecognized means auto). The env
-// override exists so any binary — benches, the batch driver, a golden
-// byte-compare — can force a kernel without a flag.
-DpKernelOptions dp_kernel_options_from_env();
-
 // Reconstruct the optimal bundling for a requested bundle count from
 // filled tables. Row b of the DP does not depend on b_max, so
 // extracting from a taller table is identical to filling a table of
-// exactly this height.
+// exactly this height; a count past the table's rows (or past n) is
+// clamped to what the table holds.
 Bundling extract_dp_bundling(const DpTables& t,
                              std::span<const std::size_t> order,
                              std::size_t n_bundles);
@@ -148,14 +116,14 @@ bool probe_total_monotonicity(std::size_t n, const Objective& value) {
   return true;
 }
 
-// Naive reference scan for row b over k in [klo, khi]: the exact loop
+// Naive reference scan for row b over k in [b, n]: the exact loop
 // (including the lowest-split-wins strict-> tie-break and the -inf skip
 // that only row 1 can hit) of the pre-kernel implementation.
 template <class Objective>
-void fill_row_naive(std::size_t b, const double* prev, double* best,
-                    std::uint32_t* split, std::size_t klo, std::size_t khi,
+void fill_row_naive(std::size_t b, std::size_t n, const double* prev,
+                    double* best, std::uint32_t* split,
                     const Objective& value) {
-  for (std::size_t k = klo; k <= khi; ++k) {
+  for (std::size_t k = b; k <= n; ++k) {
     double bk = kNegInf;
     std::uint32_t sk = 0;
     for (std::size_t i = b - 1; i < k; ++i) {
@@ -207,131 +175,22 @@ struct RowDC {
   }
 };
 
-// Deterministic chunk count for a row of `width` columns: a function of
-// the options and the width only, never of the thread count.
-inline std::size_t row_chunks(std::size_t width, const DpKernelOptions& opt) {
-  const std::size_t grain = std::max<std::size_t>(opt.parallel_grain, 1);
-  return std::min(std::max<std::size_t>(opt.max_chunks, 1), width / grain);
-}
-
+// The fast-path fill of row b over k in [b, n]; exact under total
+// monotonicity.
 template <class Objective>
-void fill_row(std::size_t b, std::size_t n, const double* prev, double* best,
-              std::uint32_t* split, const Objective& value, bool use_dc,
-              const DpKernelOptions& opt) {
-  if (b > n) return;  // row has no feasible k; stays -inf like the reference
-  const std::size_t klo = b;
-  const std::size_t khi = n;
-  const std::size_t width = khi - klo + 1;
-  // Never fan out from inside a parallel_for worker: the sweep engine
-  // already owns the cores, and the serial kernel is bit-identical.
-  const bool parallel = width >= opt.parallel_row_threshold &&
-                        !util::in_parallel_worker() &&
-                        row_chunks(width, opt) >= 2;
-
+void fill_row_dc(std::size_t b, std::size_t n, const double* prev,
+                 double* best, std::uint32_t* split, const Objective& value) {
   if (b == 1) {
     // Only i = 0 is feasible (prev[i>0] is -inf); computing prev[0] +
     // value(0,k) directly is bitwise what the naive -inf-skipping scan
     // stores, in O(n) instead of O(n^2).
-    const auto run = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t k = lo; k <= hi; ++k) {
-        best[k] = prev[0] + value(0, k);
-        split[k] = 0;
-      }
-    };
-    if (!use_dc) {
-      // The naive kernel is the reference: keep its exact loop shape.
-      if (!parallel) {
-        fill_row_naive(b, prev, best, split, klo, khi, value);
-      } else {
-        const std::size_t chunks = row_chunks(width, opt);
-        util::parallel_for(
-            chunks,
-            [&](std::size_t t) {
-              const std::size_t lo = klo + (width * t) / chunks;
-              const std::size_t hi = klo + (width * (t + 1)) / chunks - 1;
-              if (lo <= hi) fill_row_naive(b, prev, best, split, lo, hi, value);
-            },
-            opt.threads);
-      }
-      return;
-    }
-    if (!parallel) {
-      run(klo, khi);
-    } else {
-      const std::size_t chunks = row_chunks(width, opt);
-      util::parallel_for(
-          chunks,
-          [&](std::size_t t) {
-            const std::size_t lo = klo + (width * t) / chunks;
-            const std::size_t hi = klo + (width * (t + 1)) / chunks - 1;
-            if (lo <= hi) run(lo, hi);
-          },
-          opt.threads);
+    for (std::size_t k = 1; k <= n; ++k) {
+      best[k] = prev[0] + value(0, k);
+      split[k] = 0;
     }
     return;
   }
-
-  if (!use_dc) {
-    if (!parallel) {
-      fill_row_naive(b, prev, best, split, klo, khi, value);
-      return;
-    }
-    const std::size_t chunks = row_chunks(width, opt);
-    util::parallel_for(
-        chunks,
-        [&](std::size_t t) {
-          const std::size_t lo = klo + (width * t) / chunks;
-          const std::size_t hi = klo + (width * (t + 1)) / chunks - 1;
-          if (lo <= hi) fill_row_naive(b, prev, best, split, lo, hi, value);
-        },
-        opt.threads);
-    return;
-  }
-
-  RowDC<Objective> dc{prev, best, split, value};
-  if (!parallel) {
-    dc.solve(klo, khi, b - 1, n - 1);
-    return;
-  }
-  // Parallel D&C: solve the chunk-boundary columns serially first (each
-  // scan lower-bounded by the previous boundary's argmax, so the pass
-  // is O(n) total under monotonicity), then every chunk is an
-  // independent D&C with i-bounds pinned by its boundary argmaxes.
-  const std::size_t chunks = row_chunks(width, opt);
-  std::vector<std::size_t> kb(chunks + 1);
-  std::vector<std::size_t> jb(chunks + 1, 0);
-  for (std::size_t t = 0; t <= chunks; ++t) {
-    kb[t] = klo + (width * t) / chunks;
-  }
-  std::size_t prevj = b - 1;
-  for (std::size_t t = 1; t < chunks; ++t) {
-    const std::size_t k = kb[t];
-    const std::size_t hi = std::min(n - 1, k - 1);
-    double bk = kNegInf;
-    std::size_t sk = prevj;
-    for (std::size_t i = prevj; i <= hi; ++i) {
-      const double v = prev[i] + value(i, k);
-      if (v > bk) {
-        bk = v;
-        sk = i;
-      }
-    }
-    best[k] = bk;
-    split[k] = static_cast<std::uint32_t>(sk);
-    jb[t] = sk;
-    prevj = sk;
-  }
-  util::parallel_for(
-      chunks,
-      [&](std::size_t t) {
-        const std::size_t lo = kb[t] + (t > 0 ? 1 : 0);
-        const std::size_t hi = kb[t + 1] - 1;
-        if (lo > hi) return;
-        const std::size_t ilo = (t == 0) ? b - 1 : jb[t];
-        const std::size_t ihi = (t + 1 < chunks) ? jb[t + 1] : n - 1;
-        RowDC<Objective>{prev, best, split, value}.solve(lo, hi, ilo, ihi);
-      },
-      opt.threads);
+  RowDC<Objective>{prev, best, split, value}.solve(b, n, b - 1, n - 1);
 }
 
 struct DpCounters {
@@ -344,22 +203,18 @@ struct DpCounters {
 // dp_fallbacks (one registry lookup per process).
 const DpCounters& dp_counters();
 
-}  // namespace dp_detail
-
-// Fill the DP tables for `n` sorted flows and rows 1..b_max. The
-// `value(i, k)` objective scores the sorted segment [i, k); callers
-// clamp b_max <= n. Throws std::invalid_argument when n >= 2^32 (split
-// indices are uint32_t).
+// The fill both entry points share. With `probe` the total-monotonicity
+// probe picks the row fill (and bumps dp_fastpath or dp_fallbacks);
+// without it every row takes the naive scan.
 template <class Objective>
-DpTables fill_dp_tables(std::size_t n, std::size_t b_max,
-                        const Objective& value,
-                        const DpKernelOptions& opt = dp_kernel_options_from_env()) {
+DpTables fill_tables(std::size_t n, std::size_t b_max, const Objective& value,
+                     bool probe) {
   if (n >= std::numeric_limits<std::uint32_t>::max()) {
     throw std::invalid_argument(
         "interval_dp: n must be < 2^32 - 1 (split indices are stored as "
         "uint32_t)");
   }
-  const auto& counters = dp_detail::dp_counters();
+  const auto& counters = dp_counters();
   counters.fills->add();
   // Cells actually computed: row b covers k in [b, n].
   if (b_max > 0 && b_max <= n) {
@@ -374,34 +229,70 @@ DpTables fill_dp_tables(std::size_t n, std::size_t b_max,
   t.n = n;
   t.b_max = b_max;
   const std::size_t stride = n + 1;
-  t.best.assign((b_max + 1) * stride, dp_detail::kNegInf);
+  t.best.assign((b_max + 1) * stride, kNegInf);
   t.split.assign((b_max + 1) * stride, 0);
   t.best[0] = 0.0;
 
-  bool use_dc = false;
-  switch (opt.kernel) {
-    case DpKernel::kNaive:
-      break;
-    case DpKernel::kDivideConquer:
-      use_dc = true;
-      break;
-    case DpKernel::kAuto:
-      use_dc = dp_detail::probe_total_monotonicity(n, value);
-      if (use_dc) {
-        counters.fastpath->add();
-      } else {
-        counters.fallbacks->add();
-      }
-      break;
-  }
+  const bool use_dc = probe && probe_total_monotonicity(n, value);
+  if (probe) (use_dc ? counters.fastpath : counters.fallbacks)->add();
 
-  for (std::size_t b = 1; b <= b_max; ++b) {
+  // A row past n has no feasible k and stays -inf like the reference.
+  for (std::size_t b = 1; b <= std::min(b_max, n); ++b) {
     const double* prev = t.best.data() + (b - 1) * stride;
     double* best = t.best.data() + b * stride;
     std::uint32_t* split = t.split.data() + b * stride;
-    dp_detail::fill_row(b, n, prev, best, split, value, use_dc, opt);
+    if (use_dc) {
+      fill_row_dc(b, n, prev, best, split, value);
+    } else {
+      fill_row_naive(b, n, prev, best, split, value);
+    }
   }
   return t;
+}
+
+}  // namespace dp_detail
+
+// Fill the DP tables for `n` sorted flows and rows 1..b_max. The
+// `value(i, k)` objective scores the sorted segment [i, k); callers
+// clamp b_max <= n. The probe picks the divide-and-conquer or the naive
+// row fill. Throws std::invalid_argument when n >= 2^32 (split indices
+// are uint32_t).
+template <class Objective>
+DpTables fill_dp_tables(std::size_t n, std::size_t b_max,
+                        const Objective& value) {
+  return dp_detail::fill_tables(n, b_max, value, /*probe=*/true);
+}
+
+// The O(n^2 B) reference: every row by the naive scan, no probe. Counts
+// the fill and its cells, not a fast path or a fallback.
+template <class Objective>
+DpTables fill_dp_tables_naive(std::size_t n, std::size_t b_max,
+                              const Objective& value) {
+  return dp_detail::fill_tables(n, b_max, value, /*probe=*/false);
+}
+
+// The series plumbing behind ced_optimal_series / logit_optimal_series:
+// maximize the sum of `value(i, j)` (value of the sorted segment [i, j))
+// over partitions of the `order`-sorted flows into at most b intervals,
+// for every b = 1..max_bundles, from one table fill. Element b-1 holds
+// bundles of original indices and is identical to a fill of exactly b
+// rows (row b only reads row b-1).
+template <class Objective>
+std::vector<Bundling> interval_dp_series(std::span<const std::size_t> order,
+                                         std::size_t max_bundles,
+                                         const Objective& value) {
+  if (order.empty()) throw std::invalid_argument("interval_dp: no flows");
+  if (max_bundles == 0) {
+    throw std::invalid_argument("interval_dp: need at least one bundle");
+  }
+  const std::size_t b_max = std::min(max_bundles, order.size());
+  const auto tables = fill_dp_tables(order.size(), b_max, value);
+  std::vector<Bundling> out;
+  out.reserve(max_bundles);
+  for (std::size_t b = 1; b <= max_bundles; ++b) {
+    out.push_back(extract_dp_bundling(tables, order, b));
+  }
+  return out;
 }
 
 }  // namespace manytiers::bundling

@@ -59,43 +59,12 @@ Bundling exhaustive_optimal(
   return best;
 }
 
-namespace {
-
-// Series plumbing, templated on the concrete objective so the CED /
-// logit series compile to direct calls into the kernel (interval_dp_all
-// instantiates it with the type-erased callable).
-template <class Objective>
-std::vector<Bundling> interval_dp_all_impl(std::span<const std::size_t> order,
-                                           std::size_t max_bundles,
-                                           const Objective& value) {
-  if (order.empty()) throw std::invalid_argument("interval_dp: no flows");
-  if (max_bundles == 0) {
-    throw std::invalid_argument("interval_dp: need at least one bundle");
-  }
-  const std::size_t b_max = std::min(max_bundles, order.size());
-  const auto tables = fill_dp_tables(order.size(), b_max, value);
-  std::vector<Bundling> out;
-  out.reserve(max_bundles);
-  for (std::size_t b = 1; b <= max_bundles; ++b) {
-    out.push_back(extract_dp_bundling(tables, order, b));
-  }
-  return out;
-}
-
-}  // namespace
-
-std::vector<Bundling> interval_dp_all(
-    std::span<const std::size_t> order, std::size_t max_bundles,
-    const std::function<double(std::size_t, std::size_t)>& segment_value) {
-  return interval_dp_all_impl(order, max_bundles, segment_value);
-}
-
 std::vector<Bundling> ced_optimal_series(std::span<const double> valuations,
                                          std::span<const double> costs,
                                          double alpha,
                                          std::size_t max_bundles) {
   const auto obj = make_ced_objective(valuations, costs, alpha);
-  return interval_dp_all_impl(obj.ps.order, max_bundles, obj);
+  return interval_dp_series(obj.ps.order, max_bundles, obj);
 }
 
 std::vector<Bundling> logit_optimal_series(std::span<const double> valuations,
@@ -103,7 +72,7 @@ std::vector<Bundling> logit_optimal_series(std::span<const double> valuations,
                                            double alpha,
                                            std::size_t max_bundles) {
   const auto obj = make_logit_objective(valuations, costs, alpha);
-  return interval_dp_all_impl(obj.ps.order, max_bundles, obj);
+  return interval_dp_series(obj.ps.order, max_bundles, obj);
 }
 
 }  // namespace manytiers::bundling

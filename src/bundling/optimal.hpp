@@ -19,8 +19,9 @@
 //
 // The DP is exposed only as series over bundle counts (one table fill
 // answers every b <= B): ced_optimal_series / logit_optimal_series for
-// the paper's objectives, interval_dp_all for a custom one.
-// exhaustive_optimal stays as the oracle.
+// the paper's objectives. A custom objective goes through the
+// interval_dp_series template in bundling/dp_kernel.hpp, which both
+// series share. exhaustive_optimal stays as the oracle.
 #pragma once
 
 #include <functional>
@@ -50,33 +51,20 @@ std::vector<Bundling> logit_optimal_series(std::span<const double> valuations,
                                            double alpha,
                                            std::size_t max_bundles);
 
-// The custom-objective entry point: maximize the sum of
-// `segment_value(i, j)` (value of the sorted segment [i, j)) over
-// partitions of the `order`-sorted flows into at most b intervals, for
-// every b = 1..max_bundles. Element b-1 holds bundles of original
-// indices. The DP rows are shared across bundle counts (row b only reads
-// row b-1), so one fill serves the whole series, and element b-1 is
-// identical to a fill of exactly b rows.
-std::vector<Bundling> interval_dp_all(
-    std::span<const std::size_t> order, std::size_t max_bundles,
-    const std::function<double(std::size_t, std::size_t)>& segment_value);
-
-// Implementation note: every entry point above runs through the layered
-// kernel in bundling/dp_kernel.hpp — flat row-major tables with uint32
-// split indices, a divide-and-conquer O(n log n)-per-row fast path when
-// the objective passes the total-monotonicity probe (both CED and logit
-// do; DESIGN.md §6), a naive-fill fallback otherwise, and deterministic
-// chunked parallelism for rows past a width threshold. Output is
-// bit-identical to the naive reference at any thread count; the
-// MANYTIERS_DP_KERNEL env var ("auto" | "naive" | "dc") forces a kernel
-// for A/B byte-compares.
+// Implementation note: both series run through the kernel in
+// bundling/dp_kernel.hpp — flat row-major tables with uint32 split
+// indices, and a divide-and-conquer O(n log n)-per-row fill when the
+// objective passes the total-monotonicity probe (both CED and logit do
+// on tie-free markets; DESIGN.md §6), the naive fill otherwise. The
+// kernel header states when the output is bit-identical to the naive
+// reference, fill_dp_tables_naive.
 //
 // Instrumentation (obs registry, per-thread sharded, safe under
 // parallel sweeps): "bundling.dp_fills" counts table fills (tests
 // enable the registry and assert a capture series costs exactly one
 // fill), "bundling.dp_cells" the DP cells computed, and
-// "bundling.dp_fastpath" / "bundling.dp_fallbacks" partition auto-kernel
-// fills by whether the monotonicity probe let the divide-and-conquer
-// path run.
+// "bundling.dp_fastpath" / "bundling.dp_fallbacks" partition the
+// probed fills by whether the monotonicity probe let the
+// divide-and-conquer path run.
 
 }  // namespace manytiers::bundling

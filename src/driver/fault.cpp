@@ -4,6 +4,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "json/flat_json.hpp"
+
 namespace manytiers::driver {
 
 namespace {
@@ -133,11 +135,8 @@ FaultPlan fault_plan_from_env() {
 
 std::size_t fault_attempt_from_env() {
   const char* text = std::getenv("MANYTIERS_FAULT_ATTEMPT");
-  if (text == nullptr) return 0;
-  char* end = nullptr;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (end == text || *end != '\0') return 0;
-  return static_cast<std::size_t>(value);
+  if (text == nullptr || *text == '\0') return 0;
+  return json::parse_number<std::size_t>(text, "MANYTIERS_FAULT_ATTEMPT");
 }
 
 }  // namespace manytiers::driver

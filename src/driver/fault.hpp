@@ -63,7 +63,8 @@ std::optional<FaultSpec> fault_for(const FaultPlan& plan, std::size_t shard,
                                    std::size_t attempt);
 
 // Read MANYTIERS_FAULT (empty plan when unset) and
-// MANYTIERS_FAULT_ATTEMPT (0 when unset or unparsable).
+// MANYTIERS_FAULT_ATTEMPT (0 when unset or empty). Both throw
+// std::invalid_argument on a malformed value.
 FaultPlan fault_plan_from_env();
 std::size_t fault_attempt_from_env();
 

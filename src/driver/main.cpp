@@ -36,6 +36,7 @@
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
 #include "util/file.hpp"
+#include "util/parallel.hpp"
 
 namespace {
 
@@ -44,7 +45,7 @@ using namespace manytiers;
 constexpr const char* kFooter =
     "exit codes: 0 success, 1 runtime failure (grid evaluation, merge, or\n"
     "  report IO), 2 usage error (bad flags, unknown grid, malformed\n"
-    "  MANYTIERS_FAULT)\n"
+    "  MANYTIERS_FAULT, MANYTIERS_FAULT_ATTEMPT or MANYTIERS_THREADS)\n"
     "test hooks: MANYTIERS_FAULT=kind:shard[:times],... with kind in\n"
     "  {crash, stall, slow, corrupt, partial} injects deterministic\n"
     "  worker faults (slow takes a duration: slow:shard:ms[:times]);\n"
@@ -111,10 +112,12 @@ int main(int argc, char** argv) {
   double heartbeat_interval_ms = 100.0;
   std::uint64_t trace_sample = 0;
 
-  // Phase 1 — flags, grid resolution, and the fault-plan environment.
-  // Any failure here is a usage error: exit 2.
+  // Phase 1 — flags, grid resolution, and the MANYTIERS_FAULT* and
+  // MANYTIERS_THREADS environment. Any failure here is a usage error:
+  // exit 2.
   driver::ExperimentGrid grid;
   driver::FaultPlan fault_plan;
+  std::size_t fault_attempt = 0;
   cli::Flags flags("manytiers_batch", "[options] [--merge F1 F2 ...]",
                    kFooter);
   choice.add_to(flags);
@@ -165,6 +168,8 @@ int main(int argc, char** argv) {
         }
         if (!merge_mode) grid = choice.resolve();
         fault_plan = driver::fault_plan_from_env();
+        fault_attempt = driver::fault_attempt_from_env();
+        util::default_thread_count();  // rejects a malformed MANYTIERS_THREADS
       });
   obs_flags.add_to(flags);
   if (const auto code = flags.parse(argc, argv)) return *code;
@@ -189,8 +194,8 @@ int main(int argc, char** argv) {
   bool corrupt_output = false;
   bool partial_output = false;
   std::size_t slow_ms = 0;
-  if (const auto fault = driver::fault_for(
-          fault_plan, shard.index, driver::fault_attempt_from_env())) {
+  if (const auto fault =
+          driver::fault_for(fault_plan, shard.index, fault_attempt)) {
     switch (fault->kind) {
       case driver::FaultKind::Crash:
         std::cerr << "manytiers_batch: injected crash\n";

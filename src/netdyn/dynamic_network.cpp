@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
 #include <queue>
 #include <stdexcept>
@@ -26,30 +24,8 @@ using topology::PopId;
 
 }  // namespace
 
-std::string_view to_string(SsspKernel kernel) {
-  switch (kernel) {
-    case SsspKernel::kNaive: return "naive";
-    case SsspKernel::kIncremental: return "incremental";
-  }
-  throw std::invalid_argument("unknown SSSP kernel");
-}
-
-SsspKernelOptions sssp_kernel_options_from_env() {
-  SsspKernelOptions opt;
-  if (const char* env = std::getenv("MANYTIERS_SSSP_KERNEL")) {
-    if (std::strcmp(env, "naive") == 0) {
-      opt.kernel = SsspKernel::kNaive;
-    } else if (std::strcmp(env, "incremental") == 0) {
-      opt.kernel = SsspKernel::kIncremental;
-    }
-    // "auto", empty, or unrecognized: keep the default (incremental).
-  }
-  return opt;
-}
-
-DynamicNetwork::DynamicNetwork(const topology::Network& base,
-                               SsspKernelOptions options)
-    : options_(options), pops_(base.pops()) {
+DynamicNetwork::DynamicNetwork(const topology::Network& base)
+    : pops_(base.pops()) {
   alive_.assign(pops_.size(), 1);
   for (const auto& l : base.links()) {
     const LinkKey key = l.a < l.b ? LinkKey{l.a, l.b} : LinkKey{l.b, l.a};
@@ -119,8 +95,7 @@ DistanceDelta DynamicNetwork::apply(std::span<const NetworkUpdate> batch) {
   static obs::Counter& changed_counter =
       registry.counter("netdyn.changed_pairs");
   const obs::Span span("netdyn.apply",
-                       obs::trace_args("updates", batch.size(), "kernel",
-                                       to_string(options_.kernel)));
+                       obs::trace_args("updates", batch.size()));
 
   // Phase A: validate and apply every op on working copies, so a bad op
   // anywhere in the batch leaves the network untouched.
@@ -286,8 +261,7 @@ DistanceDelta DynamicNetwork::apply(std::span<const NetworkUpdate> batch) {
       }
       continue;
     }
-    const bool fresh_source = s < added_flag.size() && added_flag[s];
-    if (options_.kernel == SsspKernel::kNaive || fresh_source) {
+    if (s < added_flag.size() && added_flag[s]) {
       snapshot_row(s);
       topology::shortest_paths_into(adjacency_, s, dist_.row(s), pred_[s]);
       diff_row(s);

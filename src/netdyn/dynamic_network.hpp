@@ -8,33 +8,28 @@
 // distance changed — the handle the re-cost, market-invalidation, and
 // serve-requote layers key off.
 //
-// Two kernels maintain the distance matrix:
+// apply() maintains the distance matrix by batched Ramalingam–Reps-style
+// repair. Per source, edge changes are classified into increases
+// (reweigh up, link down, PoP remove) and decreases (reweigh down, link
+// up, PoP add); sources whose shortest-path tree touches no changed edge
+// are skipped in O(batch). For an affected source, the invalidation cone
+// — the pred-tree descendants of vertices whose tree edge lengthened —
+// is reset to kUnreachable and repaired by a label-correcting Dijkstra
+// seeded from the cone boundary and the decreased edges.
 //
-//  - naive: recompute every row from scratch with the static Dijkstra
-//    (the reference; O(n * m log n) per batch).
-//  - incremental: batched Ramalingam–Reps-style repair. Per source, edge
-//    changes are classified into increases (reweigh up, link down, PoP
-//    remove) and decreases (reweigh down, link up, PoP add); sources
-//    whose shortest-path tree touches no changed edge are skipped in
-//    O(batch). For an affected source, the invalidation cone — the
-//    pred-tree descendants of vertices whose tree edge lengthened — is
-//    reset to kUnreachable and repaired by a label-correcting Dijkstra
-//    seeded from the cone boundary and the decreased edges.
-//
-// Both kernels land on the same bits: with non-negative weights the
-// distance vector is the unique fixed point of d[v] = min_u(d[u] + w_uv)
-// under IEEE rounding (addition is monotone, every relaxation evaluates
-// the same left-to-right sum), so any repair that converges to the fixed
-// point equals a from-scratch run bit-for-bit. Tree (predecessor) choice
-// affects only how much work repair does, never the values.
+// scratch_distances() is the reference: every row from scratch with the
+// static Dijkstra (O(n * m log n)). Repair lands on the same bits: with
+// non-negative weights the distance vector is the unique fixed point of
+// d[v] = min_u(d[u] + w_uv) under IEEE rounding (addition is monotone,
+// every relaxation evaluates the same left-to-right sum), so any repair
+// that converges to the fixed point equals a from-scratch run
+// bit-for-bit. Tree (predecessor) choice affects only how much work
+// repair does, never the values.
 //
 // Removed PoPs are tombstones: the id survives, incident links drop, and
 // the PoP's whole matrix row — including the diagonal — is pinned to
 // kUnreachable by convention. Added PoPs grow the matrix; their row is
 // filled by a fresh single-source run.
-//
-// MANYTIERS_SSSP_KERNEL=naive|incremental|auto overrides the kernel
-// (auto = incremental), mirroring MANYTIERS_DP_KERNEL.
 #pragma once
 
 #include <cstdint>
@@ -51,19 +46,6 @@
 
 namespace manytiers::netdyn {
 
-enum class SsspKernel { kNaive, kIncremental };
-
-std::string_view to_string(SsspKernel kernel);
-
-struct SsspKernelOptions {
-  SsspKernel kernel = SsspKernel::kIncremental;
-};
-
-// MANYTIERS_SSSP_KERNEL: "naive" forces the reference kernel,
-// "incremental" the repair kernel; "auto", empty, or unrecognized keep
-// the default (incremental).
-SsspKernelOptions sssp_kernel_options_from_env();
-
 // What one applied batch changed: the exact set of ordered (src, dst)
 // pairs whose distance-matrix cell holds a different value than before,
 // sorted by (src, dst). Cells that exist only after a PoP addition count
@@ -79,12 +61,9 @@ struct DistanceDelta {
 
 class DynamicNetwork {
  public:
-  explicit DynamicNetwork(
-      const topology::Network& base,
-      SsspKernelOptions options = sssp_kernel_options_from_env());
+  explicit DynamicNetwork(const topology::Network& base);
 
   std::uint64_t epoch() const { return epoch_; }
-  SsspKernel kernel() const { return options_.kernel; }
 
   // Vertex-id space size (tombstones included) — the distance matrix
   // dimension.
@@ -114,7 +93,7 @@ class DynamicNetwork {
 
   // Reference check: recompute the matrix from scratch with the static
   // Dijkstra and the tombstone-row convention. Equals distances()
-  // bit-for-bit after every apply, whichever kernel maintains it.
+  // bit-for-bit after every apply.
   topology::DistanceMatrix scratch_distances() const;
 
  private:
@@ -139,7 +118,6 @@ class DynamicNetwork {
                     std::span<const EdgeChange> increases,
                     std::span<const EdgeChange> decreases) const;
 
-  SsspKernelOptions options_;
   std::uint64_t epoch_ = 0;
   std::vector<topology::Pop> pops_;  // tombstones keep their slot
   std::vector<char> alive_;

@@ -84,9 +84,8 @@ std::size_t FlowRecoster::recost_all(workload::FlowSet& flows,
   return changed;
 }
 
-DynamicFlows::DynamicFlows(driver::ExperimentGrid grid,
-                           SsspKernelOptions kernel)
-    : grid_(std::move(grid)), net_(topology::internet2_network(), kernel) {
+DynamicFlows::DynamicFlows(driver::ExperimentGrid grid)
+    : grid_(std::move(grid)), net_(topology::internet2_network()) {
   const workload::GeneratorOptions gen{.seed = grid_.base.seed,
                                        .n_flows = grid_.base.n_flows};
   flows_.reserve(grid_.datasets.size());

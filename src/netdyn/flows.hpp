@@ -67,9 +67,7 @@ class FlowRecoster {
 // datasets feed: report cells, or serve market entries.
 class DynamicFlows {
  public:
-  explicit DynamicFlows(
-      driver::ExperimentGrid grid,
-      SsspKernelOptions kernel = sssp_kernel_options_from_env());
+  explicit DynamicFlows(driver::ExperimentGrid grid);
 
   const driver::ExperimentGrid& grid() const { return grid_; }
   const DynamicNetwork& network() const { return net_; }

@@ -11,7 +11,7 @@ namespace manytiers::netdyn {
 
 GridSession::GridSession(driver::ExperimentGrid grid,
                          GridSessionOptions options)
-    : threads_(options.threads), flows_(std::move(grid), options.kernel) {
+    : threads_(options.threads), flows_(std::move(grid)) {
   driver::RunOptions run;
   run.threads = threads_;
   run.flows_override = &flows_.flows();

@@ -11,9 +11,8 @@
 //
 // The maintained report is byte-identical (modulo timing fields) to
 // scratch_report(), a full-grid run_grid over DynamicFlows::
-// scratch_flows(). That equivalence holds after every batch, for either
-// SSSP kernel and any thread count, and is what the netdyn ctest suite
-// pins.
+// scratch_flows(). That equivalence holds after every batch and at any
+// thread count, and is what the netdyn ctest suite pins.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +25,6 @@ namespace manytiers::netdyn {
 
 struct GridSessionOptions {
   std::size_t threads = 0;  // forwarded to run_grid
-  SsspKernelOptions kernel = sssp_kernel_options_from_env();
 };
 
 class GridSession {

@@ -2,27 +2,22 @@
 
 #include <cstdlib>
 #include <exception>
-#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "json/flat_json.hpp"
 #include "obs/trace.hpp"
 
 namespace manytiers::util {
 
-namespace {
-thread_local bool t_in_parallel_worker = false;
-}  // namespace
-
-bool in_parallel_worker() { return t_in_parallel_worker; }
-
 std::size_t default_thread_count() {
-  if (const char* env = std::getenv("MANYTIERS_THREADS")) {
-    char* end = nullptr;
-    const unsigned long parsed = std::strtoul(env, &end, 10);
-    if (end != env && *end == '\0' && parsed > 0) {
-      return static_cast<std::size_t>(parsed);
-    }
+  const char* env = std::getenv("MANYTIERS_THREADS");
+  const std::string_view text = env == nullptr ? "" : env;
+  if (!text.empty()) {
+    const auto parsed =
+        json::parse_number<std::size_t>(text, "MANYTIERS_THREADS");
+    if (parsed > 0) return parsed;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<std::size_t>(hw);
@@ -49,7 +44,6 @@ void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
     const std::size_t size = base + (t < extra ? 1 : 0);
     const std::size_t end = begin + size;
     workers.emplace_back([&body, &errors, t, begin, end] {
-      t_in_parallel_worker = true;
       try {
         // Trace row per worker ordinal (tid = t + 1; 0 is the spawning
         // thread): sequential parallel_for calls reuse the same rows,

@@ -14,6 +14,11 @@
 // propagate to the caller (the first one in chunk order; remaining
 // chunks still finish, so partially-written outputs are never observed
 // mid-flight).
+//
+// Callers fan out once, at the top: the sweep engine and serve's
+// snapshot build and rebuild. The work they run in each body
+// (calibration, the bundling DP) is serial, so `threads == 1` means one
+// thread end to end.
 #pragma once
 
 #include <cstddef>
@@ -21,8 +26,10 @@
 
 namespace manytiers::util {
 
-// Worker count used when `threads == 0`: MANYTIERS_THREADS if set to a
-// positive integer, otherwise hardware_concurrency(), never less than 1.
+// Worker count used when `threads == 0`: MANYTIERS_THREADS when set to
+// a positive integer; unset, empty or 0 means hardware_concurrency(),
+// never less than 1. Any other value (a sign, a blank, trailing bytes)
+// throws std::invalid_argument naming the variable.
 std::size_t default_thread_count();
 
 // Run body(i) for every i in [0, n). `threads == 0` means
@@ -30,12 +37,5 @@ std::size_t default_thread_count();
 // thread spawned at all, so the serial path is exactly a plain loop.
 void parallel_for(std::size_t n, const std::function<void(std::size_t)>& body,
                   std::size_t threads = 0);
-
-// True when the calling thread is a parallel_for worker. Inner layers
-// (e.g. the bundling DP kernel) use this to stay serial instead of
-// fanning out nested thread pools when the sweep engine already owns
-// the cores. The inline `threads <= 1` path does not set it — a serial
-// outer loop leaves inner layers free to parallelize.
-bool in_parallel_worker();
 
 }  // namespace manytiers::util

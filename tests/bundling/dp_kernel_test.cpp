@@ -1,15 +1,14 @@
-// Cross-checks for the layered DP kernel (bundling/dp_kernel.hpp): the
-// divide-and-conquer fast path, the parallel row fills, and the flat
-// uint32-split tables must all be bit-identical to the naive reference
-// fill — best AND split tables, compared as raw bytes, plus the
-// extracted Bundlings — on seeded random markets and on adversarial tie
-// instances. A synthetic non-monotone objective must trip the probe and
-// take the (counted) fallback path.
+// Cross-checks for the DP kernel (bundling/dp_kernel.hpp): the
+// production fill (divide-and-conquer fast path behind the probe) and
+// its flat uint32-split tables must be bit-identical to the naive
+// reference fill_dp_tables_naive — best AND split tables, compared as
+// raw bytes, plus the extracted Bundlings — on seeded random markets and
+// on adversarial tie instances. A synthetic non-monotone objective must
+// trip the probe and take the (counted) fallback path.
 #include "bundling/dp_kernel.hpp"
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <numeric>
 #include <vector>
@@ -54,12 +53,8 @@ void expect_tables_identical(const DpTables& a, const DpTables& b,
 template <class Objective>
 void cross_check(std::size_t n, std::size_t b_max, const Objective& obj,
                  std::span<const std::size_t> order, const char* label) {
-  DpKernelOptions naive;
-  naive.kernel = DpKernel::kNaive;
-  DpKernelOptions autok;
-  autok.kernel = DpKernel::kAuto;
-  const auto ref = fill_dp_tables(n, b_max, obj, naive);
-  const auto fast = fill_dp_tables(n, b_max, obj, autok);
+  const auto ref = fill_dp_tables_naive(n, b_max, obj);
+  const auto fast = fill_dp_tables(n, b_max, obj);
   expect_tables_identical(ref, fast, label);
   for (std::size_t b = 1; b <= b_max; ++b) {
     EXPECT_EQ(extract_dp_bundling(ref, order, b),
@@ -85,7 +80,7 @@ TEST(DpKernelCrossCheck, CedSeededRandomMarkets) {
       fast.reset();
       cross_check(n, std::min<std::size_t>(8, n), obj, obj.ps.order, "ced");
       // The real CED objective is totally monotone: the probe must have
-      // let the divide-and-conquer path run (one auto fill above).
+      // let the divide-and-conquer path run (one probed fill above).
       EXPECT_EQ(fast.value(), 1u) << "seed=" << seed << " n=" << n;
     }
   }
@@ -108,7 +103,7 @@ TEST(DpKernelCrossCheck, LogitSeededRandomMarkets) {
 
 TEST(DpKernelCrossCheck, EqualCostTies) {
   // Every flow at the same unit cost: segment values tie all over the
-  // table; whatever path auto takes (ulp-level probe violations may
+  // table; whatever path the probe picks (ulp-level violations may
   // legitimately force the fallback here), the tables must match the
   // naive reference exactly — lowest-split-wins everywhere.
   const std::size_t n = 64;
@@ -173,13 +168,13 @@ TEST(DpKernelFallback, NonMonotoneObjectiveTakesNaivePath) {
   const std::size_t n = 50;
   fast.reset();
   fallbacks.reset();
-  DpKernelOptions autok;  // probe + fallback
-  const auto t = fill_dp_tables(n, 5, obj, autok);
+  const auto t = fill_dp_tables(n, 5, obj);  // probe + fallback
   EXPECT_EQ(fast.value(), 0u);
   EXPECT_EQ(fallbacks.value(), 1u);
-  DpKernelOptions naive;
-  naive.kernel = DpKernel::kNaive;
-  const auto ref = fill_dp_tables(n, 5, obj, naive);
+  const auto ref = fill_dp_tables_naive(n, 5, obj);
+  // The reference never probes: neither a fast path nor a fallback.
+  EXPECT_EQ(fast.value(), 0u);
+  EXPECT_EQ(fallbacks.value(), 1u);
   expect_tables_identical(ref, t, "non-monotone fallback");
   // One giant bundle is optimal for a supermodular length reward; the
   // fallback must still find it.
@@ -190,7 +185,7 @@ TEST(DpKernelFallback, NonMonotoneObjectiveTakesNaivePath) {
 }
 
 TEST(DpKernelFallback, ProbeRejectsTinyN) {
-  // n < 4 has no quadruple to test; auto must take (and count) the
+  // n < 4 has no quadruple to test; the fill must take (and count) the
   // naive path rather than run an unprobed D&C.
   const obs::ScopedEnable metrics;
   obs::Counter& fallbacks =
@@ -202,33 +197,16 @@ TEST(DpKernelFallback, ProbeRejectsTinyN) {
   EXPECT_EQ(fallbacks.value(), 1u);
 }
 
-TEST(DpKernelParallel, BitIdenticalAcrossThreadCountsAndChunkings) {
-  // Force the parallel path with a tiny threshold and compare against
-  // the fully serial fill for both kernels at several thread counts.
-  // Chunk boundaries are a function of the options, not the thread
-  // count, so every variant must produce byte-identical tables.
-  const std::size_t n = 3000;
-  const auto inst = random_instance(2024, n);
-  const auto obj = make_ced_objective(inst.v, inst.c, 1.7);
-
-  for (const DpKernel kernel : {DpKernel::kNaive, DpKernel::kDivideConquer}) {
-    DpKernelOptions serial;
-    serial.kernel = kernel;
-    serial.parallel_row_threshold = SIZE_MAX;  // never parallel
-    const auto ref = fill_dp_tables(n, 6, obj, serial);
-    for (const std::size_t threads : {1u, 2u, 5u}) {
-      DpKernelOptions par;
-      par.kernel = kernel;
-      par.parallel_row_threshold = 64;
-      par.parallel_grain = 128;
-      par.max_chunks = 8;
-      par.threads = threads;
-      const auto got = fill_dp_tables(n, 6, obj, par);
-      expect_tables_identical(ref, got,
-                              kernel == DpKernel::kNaive ? "naive parallel"
-                                                         : "dc parallel");
-    }
-  }
+TEST(DpKernelExtract, CountPastTheTableRowsClampsToTheTable) {
+  // A table of b_max rows answers any larger count with its b_max
+  // extraction; it never reads a row it does not hold.
+  const std::size_t n = 10;
+  const std::size_t b_max = 2;
+  const auto inst = random_instance(19, n);
+  const auto obj = make_ced_objective(inst.v, inst.c, 1.6);
+  const auto t = fill_dp_tables(n, b_max, obj);
+  EXPECT_EQ(extract_dp_bundling(t, obj.ps.order, b_max + 3),
+            extract_dp_bundling(t, obj.ps.order, b_max));
 }
 
 TEST(DpKernelMemory, FlatTablesStayUnderDocumentedBudget) {
@@ -268,19 +246,6 @@ TEST(DpKernelGuards, RejectsNOverUint32) {
       fill_dp_tables(std::size_t{std::numeric_limits<std::uint32_t>::max()},
                      std::size_t{2}, obj),
       std::invalid_argument);
-}
-
-TEST(DpKernelOptionsEnv, KernelOverrideParses) {
-  ASSERT_EQ(setenv("MANYTIERS_DP_KERNEL", "naive", 1), 0);
-  EXPECT_EQ(dp_kernel_options_from_env().kernel, DpKernel::kNaive);
-  ASSERT_EQ(setenv("MANYTIERS_DP_KERNEL", "dc", 1), 0);
-  EXPECT_EQ(dp_kernel_options_from_env().kernel, DpKernel::kDivideConquer);
-  ASSERT_EQ(setenv("MANYTIERS_DP_KERNEL", "auto", 1), 0);
-  EXPECT_EQ(dp_kernel_options_from_env().kernel, DpKernel::kAuto);
-  ASSERT_EQ(setenv("MANYTIERS_DP_KERNEL", "garbage", 1), 0);
-  EXPECT_EQ(dp_kernel_options_from_env().kernel, DpKernel::kAuto);
-  ASSERT_EQ(unsetenv("MANYTIERS_DP_KERNEL"), 0);
-  EXPECT_EQ(dp_kernel_options_from_env().kernel, DpKernel::kAuto);
 }
 
 }  // namespace

@@ -5,7 +5,9 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <string>
 
+#include "bundling/dp_kernel.hpp"
 #include "demand/ced.hpp"
 #include "demand/logit.hpp"
 #include "obs/registry.hpp"
@@ -89,7 +91,7 @@ TEST(IntervalDp, SplitsAtTheObviousBoundary) {
   const auto value = [](std::size_t i, std::size_t j) {
     return (j - i == 2) ? 10.0 : 0.0;  // reward segments of exactly 2
   };
-  const auto b = interval_dp_all(order, 2, value).back();
+  const auto b = interval_dp_series(order, 2, value).back();
   ASSERT_EQ(b.size(), 2u);
   EXPECT_EQ(b[0], (Bundle{0, 1}));
   EXPECT_EQ(b[1], (Bundle{2, 3}));
@@ -98,15 +100,15 @@ TEST(IntervalDp, SplitsAtTheObviousBoundary) {
 TEST(IntervalDp, MapsBackToOriginalIndices) {
   const std::vector<std::size_t> order{3, 1, 0, 2};  // cost-sorted order
   const auto value = [](std::size_t, std::size_t) { return 1.0; };
-  const auto b = interval_dp_all(order, 4, value).back();
+  const auto b = interval_dp_series(order, 4, value).back();
   EXPECT_NO_THROW(validate(b, 4));
 }
 
 TEST(IntervalDp, Validates) {
   const auto unit = [](std::size_t, std::size_t) { return 0.0; };
-  EXPECT_THROW(interval_dp_all({}, 2, unit), std::invalid_argument);
+  EXPECT_THROW(interval_dp_series({}, 2, unit), std::invalid_argument);
   const std::vector<std::size_t> order{0};
-  EXPECT_THROW(interval_dp_all(order, 0, unit), std::invalid_argument);
+  EXPECT_THROW(interval_dp_series(order, 0, unit), std::invalid_argument);
 }
 
 // --- The load-bearing property: the interval DP is exact. ---
@@ -125,12 +127,51 @@ RandomInstance random_instance(std::uint64_t seed, std::size_t n) {
   return inst;
 }
 
-class DpMatchesExhaustive : public ::testing::TestWithParam<std::uint64_t> {};
+// The paper's markets are made of cost ties: regional markets have 1-3
+// distinct unit costs, dest-type markets 2. Tie shapes at n = 9, the
+// seed drawing valuations and cost levels:
+//   0  all costs equal;
+//   1  two cost values, drawn per flow;
+//   2  three cost values alternating, so every tie group is spread over
+//      the whole input order;
+//   3  two cost halves, with duplicate valuations inside each tie.
+RandomInstance tie_instance(int shape, std::uint64_t seed) {
+  const std::size_t n = 9;
+  util::Rng rng(seed);
+  const double levels[3] = {rng.uniform(0.2, 1.5), rng.uniform(1.5, 3.0),
+                            rng.uniform(3.0, 5.0)};
+  const double dup[2][2] = {{rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)},
+                            {rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0)}};
+  RandomInstance inst;
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool upper = i >= n / 2;
+    switch (shape) {
+      case 0:
+        inst.c.push_back(levels[1]);
+        break;
+      case 1:
+        inst.c.push_back(levels[rng.bernoulli(0.5) ? 0 : 2]);
+        break;
+      case 2:
+        inst.c.push_back(levels[i % 3]);
+        break;
+      default:
+        inst.c.push_back(levels[upper ? 2 : 0]);
+        inst.v.push_back(dup[upper][rng.bernoulli(0.5)]);
+        continue;
+    }
+    inst.v.push_back(rng.uniform(0.5, 3.0));
+  }
+  return inst;
+}
 
-TEST_P(DpMatchesExhaustive, CedInstances) {
-  const auto inst = random_instance(GetParam(), 8);
+// The DP's optimum at 2..max_bundles bundles must reach the exhaustive
+// one's profit.
+void expect_ced_matches_exhaustive(const RandomInstance& inst,
+                                   std::size_t max_bundles,
+                                   const std::string& label) {
   const demand::CedModel model(1.6);
-  for (const std::size_t n_bundles : {2u, 3u}) {
+  for (std::size_t n_bundles = 2; n_bundles <= max_bundles; ++n_bundles) {
     const auto dp = ced_optimal_series(inst.v, inst.c, 1.6, n_bundles).back();
     const auto ex =
         exhaustive_optimal(inst.v.size(), n_bundles, [&](const Bundling& b) {
@@ -139,14 +180,15 @@ TEST_P(DpMatchesExhaustive, CedInstances) {
     const double dp_profit = ced_bundling_profit(model, inst.v, inst.c, dp);
     const double ex_profit = ced_bundling_profit(model, inst.v, inst.c, ex);
     EXPECT_NEAR(dp_profit, ex_profit, 1e-9 * std::abs(ex_profit))
-        << "seed=" << GetParam() << " bundles=" << n_bundles;
+        << label << " bundles=" << n_bundles;
   }
 }
 
-TEST_P(DpMatchesExhaustive, LogitInstances) {
-  const auto inst = random_instance(GetParam() + 1000, 7);
+void expect_logit_matches_exhaustive(const RandomInstance& inst,
+                                     std::size_t max_bundles,
+                                     const std::string& label) {
   const demand::LogitModel model(1.2, 100.0);
-  for (const std::size_t n_bundles : {2u, 3u}) {
+  for (std::size_t n_bundles = 2; n_bundles <= max_bundles; ++n_bundles) {
     const auto dp =
         logit_optimal_series(inst.v, inst.c, 1.2, n_bundles).back();
     const auto ex =
@@ -158,7 +200,30 @@ TEST_P(DpMatchesExhaustive, LogitInstances) {
     const double ex_profit =
         logit_bundling_profit(model, inst.v, inst.c, ex);
     EXPECT_NEAR(dp_profit, ex_profit, 1e-7 * std::abs(ex_profit))
-        << "seed=" << GetParam() << " bundles=" << n_bundles;
+        << label << " bundles=" << n_bundles;
+  }
+}
+
+class DpMatchesExhaustive : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(DpMatchesExhaustive, CedInstances) {
+  const std::string seed = "seed=" + std::to_string(GetParam());
+  expect_ced_matches_exhaustive(random_instance(GetParam(), 8), 3, seed);
+  for (int shape = 0; shape < 4; ++shape) {
+    expect_ced_matches_exhaustive(tie_instance(shape, GetParam() + 2000), 4,
+                                  seed + " tie shape " +
+                                      std::to_string(shape));
+  }
+}
+
+TEST_P(DpMatchesExhaustive, LogitInstances) {
+  const std::string seed = "seed=" + std::to_string(GetParam());
+  expect_logit_matches_exhaustive(random_instance(GetParam() + 1000, 7), 3,
+                                  seed);
+  for (int shape = 0; shape < 4; ++shape) {
+    expect_logit_matches_exhaustive(tie_instance(shape, GetParam() + 3000), 4,
+                                    seed + " tie shape " +
+                                        std::to_string(shape));
   }
 }
 
@@ -183,18 +248,19 @@ TEST(IntervalDpAll, ElementWiseIdenticalToPerCountDp) {
     return sum - 0.7 * double(j - i) * double(j - i);
   };
   const std::size_t max_bundles = 30;  // deliberately > n to hit clamping
-  const auto all = interval_dp_all(order, max_bundles, value);
+  const auto all = interval_dp_series(order, max_bundles, value);
   ASSERT_EQ(all.size(), max_bundles);
   for (std::size_t b = 1; b <= max_bundles; ++b) {
-    EXPECT_EQ(all[b - 1], interval_dp_all(order, b, value).back()) << "b=" << b;
+    EXPECT_EQ(all[b - 1], interval_dp_series(order, b, value).back())
+        << "b=" << b;
   }
 }
 
 TEST(IntervalDpAll, Validates) {
   const auto unit = [](std::size_t, std::size_t) { return 0.0; };
-  EXPECT_THROW(interval_dp_all({}, 2, unit), std::invalid_argument);
+  EXPECT_THROW(interval_dp_series({}, 2, unit), std::invalid_argument);
   const std::vector<std::size_t> order{0};
-  EXPECT_THROW(interval_dp_all(order, 0, unit), std::invalid_argument);
+  EXPECT_THROW(interval_dp_series(order, 0, unit), std::invalid_argument);
 }
 
 TEST(OptimalSeries, MatchPerCountCallsExactly) {

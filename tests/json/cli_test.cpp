@@ -44,9 +44,11 @@ struct Run {
   std::string output;  // stdout + stderr
 };
 
-Run run(const std::vector<std::string>& argv) {
+Run run(const std::vector<std::string>& argv,
+        const std::vector<std::string>& env = {}) {
   orchestrator::SpawnSpec spec;
   spec.argv = argv;
+  spec.env_extra = env;
   spec.log_path = temp_path("log");
   const pid_t pid = orchestrator::spawn_process(spec);
   // A flag that slips through parsing starts real work (a daemon never
@@ -72,8 +74,9 @@ Run run(const std::vector<std::string>& argv) {
 }
 
 void expect_usage_error(const std::vector<std::string>& argv,
-                        const std::string& flag) {
-  const Run result = run(argv);
+                        const std::string& flag,
+                        const std::vector<std::string>& env = {}) {
+  const Run result = run(argv, env);
   EXPECT_FALSE(result.status.signaled) << result.output;
   EXPECT_EQ(result.status.code, 2) << result.output;
   EXPECT_NE(result.output.find(flag + ":"), std::string::npos)
@@ -84,6 +87,24 @@ TEST(CliNumbers, BatchRejectsNegativeThreads) {
   expect_usage_error({MANYTIERS_BATCH_BIN, "--grid", "smoke", "--threads",
                       "-1", "--out", temp_path("batch")},
                      "--threads");
+}
+
+TEST(CliNumbers, BatchRejectsAGarbageThreadCountInTheEnvironment) {
+  // Checked with the flags, before any work starts. -1 once read as
+  // 2^64 - 1 (one thread per task), 4x as the hardware count.
+  for (const char* value : {"-1", "4x"}) {
+    expect_usage_error({MANYTIERS_BATCH_BIN, "--grid", "smoke", "--out",
+                        temp_path("batch")},
+                       "MANYTIERS_THREADS",
+                       {std::string("MANYTIERS_THREADS=") + value});
+  }
+}
+
+TEST(CliNumbers, BatchRejectsAGarbageFaultAttempt) {
+  expect_usage_error({MANYTIERS_BATCH_BIN, "--grid", "smoke", "--out",
+                      temp_path("batch")},
+                     "MANYTIERS_FAULT_ATTEMPT",
+                     {"MANYTIERS_FAULT_ATTEMPT=1x"});
 }
 
 TEST(CliNumbers, OrchestrateRejectsNegativeRetries) {

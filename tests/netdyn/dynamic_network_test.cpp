@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <set>
 #include <string>
 #include <utility>
@@ -19,8 +18,8 @@ using topology::kUnreachable;
 using topology::PopId;
 
 // Bit-for-bit matrix comparison. EXPECT_EQ on doubles is exact (and
-// inf == inf holds), which is precisely the invariant the incremental
-// kernel promises against the from-scratch reference.
+// inf == inf holds), which is precisely the invariant incremental
+// repair promises against the from-scratch reference.
 void expect_matrices_identical(const topology::DistanceMatrix& got,
                                const topology::DistanceMatrix& want,
                                const std::string& context) {
@@ -60,8 +59,7 @@ TEST(DynamicNetwork, StartsAtTheStaticAllPairsMatrix) {
 }
 
 TEST(DynamicNetwork, DeltaNamesExactlyTheChangedCells) {
-  DynamicNetwork dyn(topology::internet2_network(),
-                     {SsspKernel::kIncremental});
+  DynamicNetwork dyn(topology::internet2_network());
   const topology::DistanceMatrix before = dyn.distances();
   const auto delta = dyn.apply(reweigh("Denver", "Kansas City", 5000.0));
   EXPECT_EQ(delta.epoch, 1u);
@@ -191,60 +189,45 @@ TEST(DynamicNetwork, InvalidOpsThrowAndLeaveStateUntouched) {
 // The tentpole invariant: over a generated mixed sequence (reweighs,
 // failures, restorations, PoP adds and removals, partitions included),
 // the incrementally maintained matrix equals the from-scratch reference
-// bit-for-bit after every batch — for both kernels.
+// bit-for-bit after every batch.
 TEST(DynamicNetwork, GeneratedSequencesStayBitIdenticalToScratch) {
-  for (const SsspKernel kernel :
-       {SsspKernel::kIncremental, SsspKernel::kNaive}) {
-    const auto base = synthetic_backbone({.n_pops = 24, .extra_links = 14,
-                                          .seed = 7});
-    DynamicNetwork dyn(base, {kernel});
-    UpdateSequenceOptions seq;
-    seq.n_batches = 12;
-    seq.batch_size = 3;
-    const auto batches = generate_update_sequence(base, 99, seq);
-    for (std::size_t b = 0; b < batches.size(); ++b) {
-      dyn.apply(batches[b]);
-      expect_matrices_identical(
-          dyn.distances(), dyn.scratch_distances(),
-          std::string(to_string(kernel)) + " batch " + std::to_string(b));
-    }
+  const auto base = synthetic_backbone({.n_pops = 24, .extra_links = 14,
+                                        .seed = 7});
+  DynamicNetwork dyn(base);
+  UpdateSequenceOptions seq;
+  seq.n_batches = 12;
+  seq.batch_size = 3;
+  const auto batches = generate_update_sequence(base, 99, seq);
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    dyn.apply(batches[b]);
+    expect_matrices_identical(dyn.distances(), dyn.scratch_distances(),
+                              "batch " + std::to_string(b));
   }
 }
 
-// Both kernels also agree with each other cell-for-cell along the same
-// sequence (a different path to the same fixed point).
-TEST(DynamicNetwork, KernelsAgreeAlongTheSameSequence) {
+// Each batch's delta names exactly the cells that differ between the
+// scratch matrices before and after it (a cell that exists only after a
+// PoP addition counts when finite), in (src, dst) order.
+TEST(DynamicNetwork, DeltaMatchesTheScratchDiffAlongTheSequence) {
   const auto base = synthetic_backbone({.n_pops = 20, .extra_links = 10,
                                         .seed = 3});
-  DynamicNetwork incremental(base, {SsspKernel::kIncremental});
-  DynamicNetwork naive(base, {SsspKernel::kNaive});
+  DynamicNetwork dyn(base);
   const auto batches = generate_update_sequence(base, 5, {.n_batches = 8});
+  topology::DistanceMatrix before = dyn.scratch_distances();
   for (std::size_t b = 0; b < batches.size(); ++b) {
-    const auto di = incremental.apply(batches[b]);
-    const auto dn = naive.apply(batches[b]);
-    EXPECT_EQ(di.changed, dn.changed) << "batch " << b;
-    expect_matrices_identical(incremental.distances(), naive.distances(),
-                              "kernel cross-check, batch " +
-                                  std::to_string(b));
-  }
-}
-
-TEST(SsspKernelOptions, EnvOverrideMirrorsDpKernel) {
-  const auto with_env = [](const char* value) {
-    if (value == nullptr) {
-      ::unsetenv("MANYTIERS_SSSP_KERNEL");
-    } else {
-      ::setenv("MANYTIERS_SSSP_KERNEL", value, 1);
+    const auto delta = dyn.apply(batches[b]);
+    const topology::DistanceMatrix after = dyn.scratch_distances();
+    std::vector<std::pair<PopId, PopId>> expected;
+    for (PopId s = 0; s < after.size(); ++s) {
+      for (PopId d = 0; d < after.size(); ++d) {
+        const bool existed = s < before.size() && d < before.size();
+        const double old_value = existed ? before(s, d) : kUnreachable;
+        if (after(s, d) != old_value) expected.emplace_back(s, d);
+      }
     }
-    const auto options = sssp_kernel_options_from_env();
-    ::unsetenv("MANYTIERS_SSSP_KERNEL");
-    return options.kernel;
-  };
-  EXPECT_EQ(with_env(nullptr), SsspKernel::kIncremental);
-  EXPECT_EQ(with_env("auto"), SsspKernel::kIncremental);
-  EXPECT_EQ(with_env("incremental"), SsspKernel::kIncremental);
-  EXPECT_EQ(with_env("naive"), SsspKernel::kNaive);
-  EXPECT_EQ(with_env("garbage"), SsspKernel::kIncremental);
+    EXPECT_EQ(delta.changed, expected) << "batch " << b;
+    before = after;
+  }
 }
 
 }  // namespace

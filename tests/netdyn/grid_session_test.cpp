@@ -25,27 +25,21 @@ std::string stable(const driver::BatchReport& report) {
 
 // The acceptance invariant, end to end: applying generated update
 // batches incrementally yields a maintained BATCH_JSON report that is
-// byte-identical to recompute-from-scratch after every batch — for both
-// kernels and across thread counts.
+// byte-identical to recompute-from-scratch after every batch — across
+// thread counts.
 TEST(GridSession, ReportStaysByteIdenticalToScratchAcrossBatches) {
   const auto backbone = topology::internet2_network();
   const auto batches = generate_update_sequence(backbone, 17,
                                                 {.n_batches = 4,
                                                  .batch_size = 2});
-  for (const SsspKernel kernel :
-       {SsspKernel::kIncremental, SsspKernel::kNaive}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
-      GridSessionOptions options;
-      options.threads = threads;
-      options.kernel = {kernel};
-      GridSession session(small_grid(), options);
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
+    GridSession session(small_grid(), {.threads = threads});
+    ASSERT_EQ(stable(session.report()), stable(session.scratch_report()))
+        << "t" << threads << " epoch 0";
+    for (std::size_t b = 0; b < batches.size(); ++b) {
+      session.apply(batches[b]);
       ASSERT_EQ(stable(session.report()), stable(session.scratch_report()))
-          << to_string(kernel) << " t" << threads << " epoch 0";
-      for (std::size_t b = 0; b < batches.size(); ++b) {
-        session.apply(batches[b]);
-        ASSERT_EQ(stable(session.report()), stable(session.scratch_report()))
-            << to_string(kernel) << " t" << threads << " batch " << b;
-      }
+          << "t" << threads << " batch " << b;
     }
   }
 }

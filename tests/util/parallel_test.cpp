@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace manytiers::util {
@@ -58,6 +61,63 @@ TEST(ParallelFor, MoreThreadsThanWorkStillCovers) {
 
 TEST(DefaultThreadCount, IsAtLeastOne) {
   EXPECT_GE(default_thread_count(), 1u);
+}
+
+// default_thread_count() with MANYTIERS_THREADS set to `value` (unset
+// for nullptr); restores the caller's environment.
+std::size_t thread_count_with(const char* value) {
+  const char* saved = std::getenv("MANYTIERS_THREADS");
+  const std::string restore = saved == nullptr ? "" : saved;
+  if (value == nullptr) {
+    ::unsetenv("MANYTIERS_THREADS");
+  } else {
+    ::setenv("MANYTIERS_THREADS", value, 1);
+  }
+  const auto reset = [&] {
+    if (saved == nullptr) {
+      ::unsetenv("MANYTIERS_THREADS");
+    } else {
+      ::setenv("MANYTIERS_THREADS", restore.c_str(), 1);
+    }
+  };
+  try {
+    const std::size_t threads = default_thread_count();
+    reset();
+    return threads;
+  } catch (...) {
+    reset();
+    throw;
+  }
+}
+
+std::size_t hardware_threads() {
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw == 0 ? 1 : hw;
+}
+
+TEST(DefaultThreadCount, ReadsAPositiveCount) {
+  EXPECT_EQ(thread_count_with("1"), 1u);
+  EXPECT_EQ(thread_count_with("3"), 3u);
+}
+
+TEST(DefaultThreadCount, UnsetEmptyOrZeroMeansHardware) {
+  EXPECT_EQ(thread_count_with(nullptr), hardware_threads());
+  EXPECT_EQ(thread_count_with(""), hardware_threads());
+  EXPECT_EQ(thread_count_with("0"), hardware_threads());
+}
+
+TEST(DefaultThreadCount, RejectsGarbageNamingTheVariable) {
+  // -1 once read as 2^64 - 1 threads and 4x as the hardware count.
+  for (const char* value : {"-1", "4x", " 3", "+2", "3 ", "x"}) {
+    try {
+      thread_count_with(value);
+      ADD_FAILURE() << "accepted MANYTIERS_THREADS=\"" << value << "\"";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("MANYTIERS_THREADS"),
+                std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 }  // namespace

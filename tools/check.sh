@@ -5,7 +5,7 @@
 #                             # serve smoke (incl. live stats polls) +
 #                             # a short perfbench round, then
 #                             # ASan+UBSan build + `ctest -L
-#                             # "obs|orchestrator|serve|netdyn|topology|driver|json"`,
+#                             # "obs|orchestrator|serve|netdyn|topology|driver|json|bundling"`,
 #                             # then TSan build +
 #                             # `ctest -L "obs|parallel|serve|netdyn"`
 #   tools/check.sh --fast     # skip both sanitizer legs
@@ -37,12 +37,15 @@ ctest --test-dir "$repo/build" --output-on-failure -j "$jobs"
 
 echo "== dp kernel: naive-vs-dc speedup gate =="
 if command -v python3 >/dev/null 2>&1; then
-  # Same machine, same binary, both kernels forced in turn: the
-  # divide-and-conquer fill must beat naive by >= 3x on every quick
-  # config (the full-mode acceptance number, 5x at n=50k, is recorded in
-  # the committed baselines; the quick grid keeps this leg under a
-  # minute). A trajectory compare against the committed dc baseline is
-  # informational: cross-machine wall times are too noisy to gate on.
+  # Same machine, same binary, the naive reference fill
+  # (fill_dp_tables_naive) then the production fill (fill_dp_tables,
+  # whose probe passes on the bench's tie-free markets, so it runs
+  # divide-and-conquer): the production fill must beat naive by >= 3x
+  # on every quick config (the full-mode acceptance number, 5x at n=50k,
+  # is recorded in the committed baselines; the quick grid keeps this
+  # leg under a minute). A trajectory compare against the committed dc
+  # baseline is informational: cross-machine wall times are too noisy to
+  # gate on.
   dp_dir="$repo/build/dp_gate"
   mkdir -p "$dp_dir"
   "$repo/build/bench/bench_dp_scaling" --kernel naive > "$dp_dir/naive.log"
@@ -57,12 +60,13 @@ fi
 
 echo "== netdyn: incremental-vs-naive speedup gate =="
 if command -v python3 >/dev/null 2>&1; then
-  # Same machine, same binary, both SSSP kernels in turn over identical
-  # gentle reweigh streams: incremental repair must beat full
-  # re-Dijkstra by >= 5x median per update on every gate config (the
-  # acceptance number at <= 10% affected vertices). The compare against
-  # the committed incremental baseline is informational only —
-  # cross-machine wall times are too noisy to gate on.
+  # Same machine, same binary, over identical gentle reweigh streams:
+  # the naive leg times the scratch_distances() reference (full
+  # re-Dijkstra) after each update, the incremental leg times apply()'s
+  # repair, which must win by >= 5x median per update on every gate
+  # config (the acceptance number at <= 10% affected vertices). The
+  # compare against the committed incremental baseline is informational
+  # only — cross-machine wall times are too noisy to gate on.
   nd_dir="$repo/build/netdyn_gate"
   mkdir -p "$nd_dir"
   "$repo/build/bench/bench_netdyn" --kernel naive > "$nd_dir/naive.log"
@@ -174,7 +178,7 @@ cmake -S "$repo" -B "$repo/build-asan" \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo -DMANYTIERS_SANITIZE=ON
 cmake --build "$repo/build-asan" -j "$jobs"
 
-echo "== sanitizers: ctest -L \"obs|orchestrator|serve|netdyn|topology|driver|json\" =="
+echo "== sanitizers: ctest -L \"obs|orchestrator|serve|netdyn|topology|driver|json|bundling\" =="
 # netdyn joins the leg because incremental-repair bookkeeping (cone
 # resets, tombstone rows, matrix growth) is exactly where an
 # out-of-bounds row index would hide behind a passing value check;
@@ -182,13 +186,15 @@ echo "== sanitizers: ctest -L \"obs|orchestrator|serve|netdyn|topology|driver|js
 # streaming layer's temp+rename writer. Every parser runs here: driver
 # brings the BATCH_JSON reader, its golden and driver_smoke, and json
 # the flat_json codec with every format's seeded-mutation round trips,
-# the util/cli argv parser and the five CLIs' bad-flag cases. The build
-# adds float-cast-overflow to UBSan, so a duration flag that overflows a
-# clock conversion fails here.
+# the util/cli argv parser and the five CLIs' bad-flag cases. bundling
+# runs the DP kernel's row fills and table extraction, where a row or
+# column index past the flat tables would read a neighbour's cells and
+# still pass a value check. The build adds float-cast-overflow to UBSan,
+# so a duration flag that overflows a clock conversion fails here.
 UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1" \
 ASAN_OPTIONS="detect_leaks=0" \
   ctest --test-dir "$repo/build-asan" \
-    -L "obs|orchestrator|serve|netdyn|topology|driver|json" \
+    -L "obs|orchestrator|serve|netdyn|topology|driver|json|bundling" \
     --output-on-failure -j "$jobs"
 
 echo "== sanitizers: TSan build =="
