@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "driver/runner.hpp"
+#include "json/flat_json.hpp"
 #include "obs/trace.hpp"
 #include "pricing/counterfactual.hpp"
 #include "util/table.hpp"
@@ -57,22 +58,6 @@ inline pricing::Market linear_market(workload::DatasetKind kind,
   const auto flows = dataset(kind, d);
   const auto cost = cost::make_linear_cost(d.theta);
   return market(flows, demand_kind, *cost, d);
-}
-
-// Capture-vs-bundles table: one row per strategy (Figs. 8 and 9).
-inline util::TextTable capture_table(
-    const pricing::Market& m, const std::vector<pricing::Strategy>& strategies,
-    std::size_t max_bundles) {
-  std::vector<std::string> headers{"Strategy"};
-  for (std::size_t b = 1; b <= max_bundles; ++b) {
-    headers.push_back("B=" + std::to_string(b));
-  }
-  util::TextTable table(std::move(headers));
-  for (const auto s : strategies) {
-    table.add_row(std::string(to_string(s)),
-                  pricing::capture_series(m, s, max_bundles), 3);
-  }
-  return table;
 }
 
 // Theta-sweep table (Figs. 10-13): one row per theta, columns are bundle
@@ -148,8 +133,8 @@ inline void print_min_capture(const driver::BatchReport& report) {
 }
 
 inline void header(const char* figure, const char* summary) {
-  // The bench binaries take no flags, so MANYTIERS_TRACE is how a run
-  // gets a Perfetto timeline; header() is the one call they all share.
+  // No bench binary has a --trace flag, so MANYTIERS_TRACE is how a run
+  // gets a Perfetto timeline; header() is the call they share.
   obs::maybe_start_trace_from_env();
   std::cout << "==================================================\n"
             << figure << "\n"
@@ -213,14 +198,29 @@ inline ResourceUsage resource_usage() {
   return usage;
 }
 
+// One BENCH_JSON line: `fields` writes the bench's own fields into the
+// record, then the process's getrusage footprint closes it.
+template <typename Fields>
+void emit_json(Fields&& fields) {
+  const ResourceUsage usage = resource_usage();
+  std::string line = "BENCH_JSON ";
+  json::Writer record(line);
+  fields(record);
+  record.field("max_rss_kb", usage.max_rss_kb)
+      .field("cpu_user_s", usage.cpu_user_s)
+      .field("cpu_sys_s", usage.cpu_sys_s)
+      .close();
+  std::cout << line << '\n';
+}
+
 inline void emit_timing_json(const std::string& name, std::size_t n,
                              double wall_ms, std::size_t threads) {
-  const ResourceUsage usage = resource_usage();
-  std::cout << "BENCH_JSON {\"bench\":\"" << name << "\",\"n\":" << n
-            << ",\"wall_ms\":" << wall_ms << ",\"threads\":" << threads
-            << ",\"max_rss_kb\":" << usage.max_rss_kb
-            << ",\"cpu_user_s\":" << usage.cpu_user_s
-            << ",\"cpu_sys_s\":" << usage.cpu_sys_s << "}\n";
+  emit_json([&](json::Writer& record) {
+    record.field("bench", name)
+        .field("n", n)
+        .field("wall_ms", wall_ms)
+        .field("threads", threads);
+  });
 }
 
 // Time `fn` (median of reps after warmup), emit the JSON record, and

@@ -27,6 +27,7 @@
 
 #include "bundling/dp_kernel.hpp"
 #include "bundling/objectives.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -75,25 +76,19 @@ struct Config {
 
 int main(int argc, char** argv) {
   bool full = false;
-  const char* forced_kernel = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else if (std::strcmp(argv[i], "--kernel") == 0 && i + 1 < argc) {
-      forced_kernel = argv[++i];
-    } else {
-      std::cerr << "usage: " << argv[0] << " [--full] [--kernel naive|dc]\n";
-      return 2;
-    }
-  }
-  const bool run_naive = forced_kernel == nullptr ||
-                         std::strcmp(forced_kernel, "naive") == 0;
-  const bool run_dc =
-      forced_kernel == nullptr || std::strcmp(forced_kernel, "dc") == 0;
-  if (!run_naive && !run_dc) {
-    std::cerr << "unknown kernel '" << forced_kernel << "'\n";
-    return 2;
-  }
+  std::string kernel;  // empty: both fills
+  cli::Flags flags("bench_dp_scaling", "[--kernel naive|dc] [--full]");
+  flags.value("--kernel", "K", "time one fill only: naive or dc", kernel)
+      .toggle("--full", "add n in {50k, 100k} and B = 32", full)
+      .check([&] {
+        if (!kernel.empty() && kernel != "naive" && kernel != "dc") {
+          throw std::invalid_argument(
+              "--kernel: expected naive or dc, got \"" + kernel + "\"");
+        }
+      });
+  if (const auto code = flags.parse(argc, argv)) return *code;
+  const bool run_naive = kernel != "dc";
+  const bool run_dc = kernel != "naive";
 
   bench::header("DP kernel scaling — naive vs divide-and-conquer fill",
                 "Interval-DP table fill times over market size and bundle "
@@ -147,7 +142,7 @@ int main(int argc, char** argv) {
                                  std::to_string(cfg.b);
       // Forced single-kernel runs use kernel-free names so naive and dc
       // logs share keys for bench_diff.py.
-      const bool suffix_kernel = forced_kernel == nullptr;
+      const bool suffix_kernel = kernel.empty();
 
       double naive_ms = 0.0;
       double dc_ms = 0.0;

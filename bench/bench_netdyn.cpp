@@ -31,7 +31,6 @@
 #include "bench_common.hpp"
 
 #include <chrono>
-#include <cstring>
 #include <limits>
 #include <map>
 #include <string>
@@ -40,6 +39,7 @@
 #include "netdyn/dynamic_network.hpp"
 #include "netdyn/testbed.hpp"
 #include "topology/dijkstra.hpp"
+#include "util/cli.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -204,19 +204,23 @@ constexpr std::size_t kUpdatesPerStream = 40;
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string kernel_arg;
+  std::string kernel_arg;  // empty: both paths
   bool full = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--kernel") == 0 && i + 1 < argc) {
-      kernel_arg = argv[++i];
-    } else if (std::strcmp(argv[i], "--full") == 0) {
-      full = true;
-    } else {
-      std::cerr << "usage: bench_netdyn [--kernel naive|incremental] [--full]"
-                << std::endl;
-      return 2;
-    }
-  }
+  cli::Flags flags("bench_netdyn", "[--kernel naive|incremental] [--full]");
+  flags
+      .value("--kernel", "K",
+             "time one path on the gate configs: naive or incremental",
+             kernel_arg)
+      .toggle("--full", "add a 1024-PoP gate config", full)
+      .check([&] {
+        if (!kernel_arg.empty() && kernel_arg != "naive" &&
+            kernel_arg != "incremental") {
+          throw std::invalid_argument(
+              "--kernel: expected naive or incremental, got \"" +
+              kernel_arg + "\"");
+        }
+      });
+  if (const auto code = flags.parse(argc, argv)) return *code;
 
   // 256 PoPs is dense enough that no link is cold (every chord sits in
   // >8% of trees), so it sweeps all links and stays informational; the
@@ -235,11 +239,6 @@ int main(int argc, char** argv) {
     // BENCH_JSON record per update under a kernel-free name, so a naive
     // log and an incremental log diff key-by-key.
     const bool naive = kernel_arg == "naive";
-    if (!naive && kernel_arg != "incremental") {
-      std::cerr << "bench_netdyn: unknown kernel '" << kernel_arg << "'"
-                << std::endl;
-      return 2;
-    }
     obs::maybe_start_trace_from_env();
     for (const auto& config : configs) {
       if (!config.gate) continue;

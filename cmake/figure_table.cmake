@@ -1,6 +1,7 @@
 # Figure-table pin, run by ctest (label: figures).
 #
-# 1. Run one paper-figure bench (bench_fig8 ... bench_fig16).
+# 1. Run one paper-figure bench (bench_table1_datasets, bench_fig1 ...
+#    bench_fig16).
 # 2. Drop its BENCH_JSON lines: they carry wall time and RSS.
 # 3. What is left, the capture tables and their notes, must be
 #    byte-identical to the committed expected file.

@@ -7,6 +7,7 @@
 
 #include "json/flat_json.hpp"
 #include "util/cli.hpp"
+#include "util/parallel.hpp"
 
 namespace manytiers::driver {
 
@@ -347,7 +348,9 @@ void GridChoice::add_to(cli::Flags& flags) {
              })
       .value("--n-flows", "N", "flows per dataset override", n_flows)
       .value("--max-bundles", "B", "bundle-count ceiling override",
-             max_bundles);
+             max_bundles)
+      // A malformed MANYTIERS_THREADS is a usage error, not a failed run.
+      .check([] { util::default_thread_count(); });
 }
 
 }  // namespace manytiers::driver

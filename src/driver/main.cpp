@@ -36,7 +36,6 @@
 #include "obs/trace.hpp"
 #include "util/cli.hpp"
 #include "util/file.hpp"
-#include "util/parallel.hpp"
 
 namespace {
 
@@ -169,7 +168,6 @@ int main(int argc, char** argv) {
         if (!merge_mode) grid = choice.resolve();
         fault_plan = driver::fault_plan_from_env();
         fault_attempt = driver::fault_attempt_from_env();
-        util::default_thread_count();  // rejects a malformed MANYTIERS_THREADS
       });
   obs_flags.add_to(flags);
   if (const auto code = flags.parse(argc, argv)) return *code;

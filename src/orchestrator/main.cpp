@@ -22,6 +22,7 @@
 #include <limits>
 #include <string>
 
+#include "driver/fault.hpp"
 #include "json/flat_json.hpp"
 #include "orchestrator/orchestrator.hpp"
 #include "util/cli.hpp"
@@ -106,6 +107,7 @@ int main(int argc, char** argv) {
         if (options.trace_sample != 0 && options.trace.empty()) {
           throw std::invalid_argument("--trace-sample: requires --trace");
         }
+        driver::parse_fault_plan(options.fault);  // a bad plan fails here
         if (options.worker_binary.empty()) {
           options.worker_binary =
               (std::filesystem::path(argv[0]).parent_path() /

@@ -421,9 +421,10 @@ Result orchestrate(const Options& options, EventLog& log) {
 
   // Routes one whole wave's failure (every live attempt of the shard is
   // gone) into backoff-retry or permanent failure. `attempt_id` is the
-  // last attempt that died; `reason` the human-readable cause.
+  // last attempt that died; `reason` the human-readable cause. A failure
+  // no retry can fix (`retryable` false) fails the shard at once.
   const auto handle_failure = [&](std::size_t k, std::size_t attempt_id,
-                                  const std::string& reason) {
+                                  const std::string& reason, bool retryable) {
     Shard& shard = shards[k];
     shard.last_failure = reason + " (attempt " + std::to_string(attempt_id) +
                          ", log " + log_path(work, k, attempt_id).string() +
@@ -431,7 +432,7 @@ Result orchestrate(const Options& options, EventLog& log) {
     shard.hedged = false;
     ++shard.failures;
     manifest.shards[k].failures = shard.failures;
-    if (shard.failures >= max_attempts) {
+    if (!retryable || shard.failures >= max_attempts) {
       shard.state = Shard::State::Failed;
       --open;
       manifest.shards[k].state = "failed";
@@ -439,7 +440,7 @@ Result orchestrate(const Options& options, EventLog& log) {
       log.write(Event("shard-failed")
                     .field("shard", k)
                     .field("attempts", shard.next_attempt)
-                    .field("reason", reason));
+                    .field("reason", shard.last_failure));
       return;
     }
     save_manifest(manifest_path(work).string(), manifest);
@@ -594,6 +595,7 @@ Result orchestrate(const Options& options, EventLog& log) {
       std::vector<std::size_t> dead;
       std::string dead_reason;
       std::size_t dead_attempt_id = 0;
+      bool usage_error = false;
       for (std::size_t i = 0; i < shard.attempts.size(); ++i) {
         Attempt& attempt = shard.attempts[i];
         if (const auto status = try_wait(attempt.pid)) {
@@ -624,11 +626,17 @@ Result orchestrate(const Options& options, EventLog& log) {
           } else {
             emit_attempt_span(k, attempt, "failed");
             dead.push_back(i);
+            // manytiers_batch exits 2 on a usage error, which every
+            // attempt of this shard would repeat.
+            usage_error = !status->signaled && status->code == 2;
             dead_reason = status->signaled
                               ? "killed by signal " +
                                     std::to_string(status->signal)
+                          : usage_error
+                              ? "usage error (exit 2)"
                               : "exit code " + std::to_string(status->code);
             dead_attempt_id = attempt.id;
+            if (usage_error) break;
           }
         } else if (attempt.has_deadline && Clock::now() > attempt.deadline) {
           attempt.reaped = kill_and_reap(attempt.pid);
@@ -669,11 +677,19 @@ Result orchestrate(const Options& options, EventLog& log) {
         shard.attempts.erase(shard.attempts.begin() +
                              static_cast<std::ptrdiff_t>(*it));
       }
+      if (usage_error) {
+        // The shard fails now, so a hedge partner still running is moot.
+        for (Attempt& live : shard.attempts) {
+          live.reaped = kill_and_reap(live.pid);
+          emit_attempt_span(k, live, "cancelled");
+        }
+        shard.attempts.clear();
+      }
       if (!dead.empty() && shard.attempts.empty()) {
         // The whole wave is gone: this is what consumes retry budget. A
         // failed attempt whose hedge partner is still alive costs
         // nothing — the wave is still in flight.
-        handle_failure(k, dead_attempt_id, dead_reason);
+        handle_failure(k, dead_attempt_id, dead_reason, !usage_error);
       }
     }
 

@@ -1,9 +1,9 @@
-// Every CLI reads numeric flags strictly: garbage, a stray sign or an
-// out-of-range value is a usage error (exit 2) naming the flag, never a
-// silently wrapped or truncated number. Also pins the SERVE_JSON ready
-// line's string escaping, and that every flag the docs put on a command
-// line is in that binary's --help. Binary paths and the source dir are
-// injected at compile time.
+// Every CLI, and every bench that takes flags, reads numeric flags
+// strictly: garbage, a stray sign or an out-of-range value is a usage
+// error (exit 2) naming the flag, never a silently wrapped or truncated
+// number. Also pins the SERVE_JSON ready line's string escaping, and
+// that every flag the docs put on a command line is in that binary's
+// --help. Binary paths and the source dir are injected at compile time.
 #include <signal.h>
 #include <unistd.h>
 
@@ -90,13 +90,22 @@ TEST(CliNumbers, BatchRejectsNegativeThreads) {
 }
 
 TEST(CliNumbers, BatchRejectsAGarbageThreadCountInTheEnvironment) {
-  // Checked with the flags, before any work starts. -1 once read as
-  // 2^64 - 1 (one thread per task), 4x as the hardware count.
-  for (const char* value : {"-1", "4x"}) {
-    expect_usage_error({MANYTIERS_BATCH_BIN, "--grid", "smoke", "--out",
-                        temp_path("batch")},
-                       "MANYTIERS_THREADS",
-                       {std::string("MANYTIERS_THREADS=") + value});
+  // Checked with the grid flags batch, serve and orchestrate share,
+  // before any work starts. -1 once read as 2^64 - 1 (one thread per
+  // task), 4x as the hardware count; serve then failed its startup
+  // build (exit 1), and orchestrate retried workers that exited 2.
+  const std::string out = temp_path("threads");
+  const std::vector<std::vector<std::string>> commands = {
+      {MANYTIERS_BATCH_BIN, "--grid", "smoke", "--out", out},
+      {MANYTIERS_SERVE_BIN, "--grid", "smoke", "--socket",
+       temp_path("threads")},
+      {MANYTIERS_ORCH_BIN, "--grid", "smoke", "--workers", "2", "--out", out,
+       "--work-dir", out + ".parts"}};
+  for (const auto& argv : commands) {
+    for (const char* value : {"-1", "4x"}) {
+      expect_usage_error(argv, "MANYTIERS_THREADS",
+                         {std::string("MANYTIERS_THREADS=") + value});
+    }
   }
 }
 
@@ -113,6 +122,15 @@ TEST(CliNumbers, OrchestrateRejectsNegativeRetries) {
                       "--retries", "-1", "--out", out, "--work-dir",
                       out + ".parts"},
                      "--retries");
+}
+
+TEST(CliNumbers, OrchestrateRejectsAMalformedFaultPlan) {
+  // Checked with the flags: no worker is spawned to fail on it.
+  const std::string out = temp_path("orch");
+  expect_usage_error({MANYTIERS_ORCH_BIN, "--grid", "smoke", "--workers", "2",
+                      "--fault", "bogus", "--out", out, "--work-dir",
+                      out + ".parts"},
+                     "fault spec");
 }
 
 TEST(CliNumbers, ServeRejectsUnitSuffixedShedThreshold) {
@@ -216,15 +234,55 @@ TEST(CliNumbers, TopRejectsNegativeIterations) {
                      "--iterations");
 }
 
+// The benches that take flags parse them with the CLIs' flag layer. Every
+// case exits before any load or fill starts.
+TEST(BenchFlags, HelpExitsZero) {
+  for (const char* bin : {MANYTIERS_SERVE_LOAD_BIN, MANYTIERS_DP_SCALING_BIN,
+                          MANYTIERS_NETDYN_BIN}) {
+    const auto result = run({bin, "--help"});
+    EXPECT_FALSE(result.status.signaled) << bin << ": " << result.output;
+    EXPECT_EQ(result.status.code, 0) << bin << ": " << result.output;
+    EXPECT_NE(result.output.find("usage: "), std::string::npos) << bin;
+  }
+}
+
+TEST(BenchFlags, ServeLoadRejectsBadValues) {
+  // 1000x once ran at 1000 req/s, and -5 switched the deadline off.
+  expect_usage_error({MANYTIERS_SERVE_LOAD_BIN, "--overload",
+                      "--overload-rate", "1000x"},
+                     "--overload-rate");
+  expect_usage_error({MANYTIERS_SERVE_LOAD_BIN, "--overload",
+                      "--connections", "0"},
+                     "--connections");
+  expect_usage_error({MANYTIERS_SERVE_LOAD_BIN, "--overload",
+                      "--overload-deadline-ms", "-5"},
+                     "--overload-deadline-ms");
+}
+
+TEST(BenchFlags, BareServeLoadNamesTheOverloadRegime) {
+  expect_usage_error({MANYTIERS_SERVE_LOAD_BIN}, "--overload");
+}
+
+TEST(BenchFlags, KernelBenchesRejectAnUnknownKernel) {
+  for (const char* bin : {MANYTIERS_DP_SCALING_BIN, MANYTIERS_NETDYN_BIN}) {
+    expect_usage_error({bin, "--kernel", "bogus"}, "--kernel");
+  }
+}
+
 // The docs drift check: join the `\` continuations of every fenced block
 // in README.md and EXPERIMENTS.md, and check that each --flag on a
-// `./build/src/manytiers_<bin> ...` command line is in that binary's
-// --help.
+// `./build/src/manytiers_<bin> ...` or `./build/bench/bench_<name> ...`
+// command line is in that binary's --help.
 TEST(CliDocs, EveryDocumentedFlagIsInHelp) {
   const std::map<std::string, std::string> bins = {
-      {"batch", MANYTIERS_BATCH_BIN}, {"orchestrate", MANYTIERS_ORCH_BIN},
-      {"serve", MANYTIERS_SERVE_BIN}, {"quote", MANYTIERS_QUOTE_BIN},
-      {"top", MANYTIERS_TOP_BIN}};
+      {"manytiers_batch", MANYTIERS_BATCH_BIN},
+      {"manytiers_orchestrate", MANYTIERS_ORCH_BIN},
+      {"manytiers_serve", MANYTIERS_SERVE_BIN},
+      {"manytiers_quote", MANYTIERS_QUOTE_BIN},
+      {"manytiers_top", MANYTIERS_TOP_BIN},
+      {"bench_serve_load", MANYTIERS_SERVE_LOAD_BIN},
+      {"bench_dp_scaling", MANYTIERS_DP_SCALING_BIN},
+      {"bench_netdyn", MANYTIERS_NETDYN_BIN}};
   std::map<std::string, std::string> help;
   for (const auto& [name, path] : bins) {
     const auto result = run({path, "--help"});
@@ -232,7 +290,7 @@ TEST(CliDocs, EveryDocumentedFlagIsInHelp) {
     help[name] = result.output;
   }
 
-  const std::regex command(R"(\./build/src/manytiers_([a-z]+)(.*))");
+  const std::regex command(R"(\./build/(src|bench)/([a-z0-9_]+)(.*))");
   const std::regex flag(R"(^--[a-z0-9-]+$)");
   std::size_t checked = 0;
   for (const char* doc : {"README.md", "EXPERIMENTS.md"}) {
@@ -252,15 +310,18 @@ TEST(CliDocs, EveryDocumentedFlagIsInHelp) {
       joined += line;
       std::smatch match;
       if (std::regex_search(joined, match, command)) {
-        const std::string bin = match[1];
-        ASSERT_TRUE(bins.count(bin)) << doc << ": " << joined;
-        std::istringstream words(match[2].str());
+        const std::string bin = match[2];
+        // Every CLI is in the table. A bench missing from it takes no
+        // flags, so a flag documented on it fails the check below.
+        ASSERT_TRUE(match[1] == "bench" || bins.count(bin)) << doc << ": "
+                                                            << joined;
+        std::istringstream words(match[3].str());
         std::string word;
         while (words >> word && word != "#" && word != "|" && word != "&" &&
                word != "&&" && word != ";") {
           if (!std::regex_match(word, flag)) continue;
           EXPECT_NE(help[bin].find("  " + word + " "), std::string::npos)
-              << doc << ": manytiers_" << bin << " " << word
+              << doc << ": " << bin << " " << word
               << " is not in its --help";
           ++checked;
         }

@@ -117,6 +117,33 @@ TEST(Orchestrator, PersistentCrashExhaustsRetriesAndFailsTheRun) {
   EXPECT_TRUE(fs::exists(fs::path(fx.options.work_dir) / "worker0.a0.log"));
 }
 
+TEST(Orchestrator, UsageErrorFromAWorkerIsNotRetried) {
+  // Every worker rejects the malformed plan with exit 2, a usage error
+  // no retry can fix: each shard fails on its first attempt.
+  Fixture fx("usage");
+  fx.options.grid = "smoke";
+  fx.options.workers = 2;
+  fx.options.retries = 2;
+  fx.options.fault = "bogus";
+  const auto result = fx.run();
+  EXPECT_FALSE(result.ok);
+  EXPECT_TRUE(result.merged.empty());
+  ASSERT_EQ(result.shards.size(), 2u);
+  for (const auto& shard : result.shards) {
+    EXPECT_FALSE(shard.ok);
+    EXPECT_EQ(shard.attempts, 1u);
+    EXPECT_NE(shard.failure.find("usage error (exit 2)"), std::string::npos)
+        << shard.failure;
+  }
+  const auto events = fx.events.str();
+  EXPECT_EQ(events.find("\"type\":\"retry\""), std::string::npos) << events;
+  // The shard-failed reason names the attempt's log.
+  const auto failed = events.find("\"type\":\"shard-failed\",\"shard\":0");
+  ASSERT_NE(failed, std::string::npos) << events;
+  EXPECT_NE(events.find("worker0.a0.log", failed), std::string::npos)
+      << events;
+}
+
 TEST(Orchestrator, StalledWorkerIsKilledOnTimeoutAndRetried) {
   Fixture fx("stall");
   fx.options.grid = "smoke";

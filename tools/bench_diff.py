@@ -19,14 +19,12 @@ A latency regression is a wall_ms that grew by more than
 must trip; absent timing fields are skipped). Mixing modes — a batch
 report against a bench log — is an error.
 
-Bench records carrying a "p99_us" field (the latency-vs-offered-rate
-curves written by `bench_serve_load`) are diffed as latency curves
-instead of wall-clock trajectories: the median p50_us is toleranced
-with the usual soft gates (factor AND --curve-min-us absolute growth),
-a p99_us regression past the same thresholds is a HARD failure (exit 1
-even without --fail-on-latency — tail latency is the service-level
-contract), and p999_us / achieved_per_s changes are reported as
-informational notes only.
+Bench records carrying a "p99_us" field (the overload record written
+by `bench_serve_load --overload`) are diffed on their tail instead of
+wall-clock time: a median p99_us that grew past --latency-factor AND
+--curve-min-us is a HARD failure (exit 1 even without --fail-on-latency;
+the accepted requests' tail is the contract the request deadline
+bounds), and an achieved_per_s drop is an informational note.
 
 Bench mode can also run as a speedup gate: --min-speedup X requires the
 candidate to be at least X times faster than the baseline on every
@@ -126,7 +124,7 @@ def parse_bench_log(path):
             entry = log["records"].get(key)
             if entry is None:
                 entry = {"n": record.get("n"), "samples": [],
-                         "max_rss_kb": None, "curve": {}}
+                         "max_rss_kb": None, "tail": {}}
                 log["records"][key] = entry
                 log["keys"].append(key)
             elif entry["n"] != record.get("n"):
@@ -135,13 +133,12 @@ def parse_bench_log(path):
                     f"different n ({entry['n']} vs {record.get('n')})")
             entry["samples"].append(record["wall_ms"])
             if record.get("p99_us") is not None:
-                # Latency-curve record (bench_serve_load): collect the
-                # percentile fields; repeated keys collapse to medians,
-                # same as wall_ms.
-                for field in ("p50_us", "p99_us", "p999_us",
-                              "achieved_per_s"):
+                # Overload record (bench_serve_load): collect the gated
+                # fields; repeated keys collapse to medians, same as
+                # wall_ms.
+                for field in ("p99_us", "achieved_per_s"):
                     if record.get(field) is not None:
-                        entry["curve"].setdefault(field, []).append(
+                        entry["tail"].setdefault(field, []).append(
                             record[field])
             # Resource fields are newer than some logs; absent means an
             # older binary wrote the log, which stays fully comparable.
@@ -161,31 +158,18 @@ def median(samples):
     return 0.5 * (ordered[mid - 1] + ordered[mid])
 
 
-def diff_curve(label, base, cand, factor, min_us, regressions, hard, notes):
-    """Latency-curve gates for one (bench, threads) key: p50 soft, p99
-    hard, p999/achieved informational."""
+def diff_tail(label, base, cand, factor, min_us, hard, notes):
+    """Overload-record gates for one (bench, threads) key: p99 hard,
+    achieved rate informational."""
     def med(entry, field):
-        samples = entry["curve"].get(field)
+        samples = entry["tail"].get(field)
         return median(samples) if samples else None
 
-    old_p50, new_p50 = med(base, "p50_us"), med(cand, "p50_us")
-    if old_p50 is not None and new_p50 is not None:
-        if new_p50 > old_p50 * factor and new_p50 - old_p50 > min_us:
-            regressions.append(
-                f"{label}: p50 {old_p50:.1f} us -> {new_p50:.1f} us "
-                f"({new_p50 / old_p50:.2f}x)")
     old_p99, new_p99 = med(base, "p99_us"), med(cand, "p99_us")
-    if old_p99 is not None and new_p99 is not None:
-        if new_p99 > old_p99 * factor and new_p99 - old_p99 > min_us:
-            hard.append(
-                f"{label}: p99 {old_p99:.1f} us -> {new_p99:.1f} us "
-                f"({new_p99 / old_p99:.2f}x)")
-    old_p999, new_p999 = med(base, "p999_us"), med(cand, "p999_us")
-    if (old_p999 is not None and new_p999 is not None
-            and new_p999 > old_p999 * factor):
-        notes.append(
-            f"{label}: p999 {old_p999:.1f} us -> {new_p999:.1f} us "
-            f"({new_p999 / old_p999:.2f}x, informational)")
+    if new_p99 > old_p99 * factor and new_p99 - old_p99 > min_us:
+        hard.append(
+            f"{label}: p99 {old_p99:.1f} us -> {new_p99:.1f} us "
+            f"({new_p99 / old_p99:.2f}x)")
     old_ach, new_ach = med(base, "achieved_per_s"), med(cand, "achieved_per_s")
     if (old_ach is not None and new_ach is not None
             and new_ach < old_ach * 0.95):
@@ -211,16 +195,15 @@ def diff_trajectory(baseline, candidate, factor, min_ms, min_speedup=None,
             structure.append(
                 f"{label}: n {base['n']} -> {cand['n']} (not comparable)")
             continue
-        if base["curve"] and cand["curve"]:
-            # Latency-curve records: percentile gates replace the wall_ms
-            # gate (a sweep step's wall time is fixed by its phase
-            # durations, so wall_ms growth is meaningless there).
-            diff_curve(label, base, cand, factor, curve_min_us,
-                       regressions, hard, notes)
+        if base["tail"] and cand["tail"]:
+            # Overload records: the p99 gate replaces the wall_ms gate
+            # (the run's wall time is fixed by its phase durations, so
+            # wall_ms growth is meaningless there).
+            diff_tail(label, base, cand, factor, curve_min_us, hard, notes)
             continue
-        if bool(base["curve"]) != bool(cand["curve"]):
+        if bool(base["tail"]) != bool(cand["tail"]):
             structure.append(
-                f"{label}: latency-curve record on one side only "
+                f"{label}: p99_us record on one side only "
                 "(not comparable)")
             continue
         old_ms, new_ms = median(base["samples"]), median(cand["samples"])
@@ -367,7 +350,7 @@ def diff_bench_logs(args):
                   f"(factor {args.latency_factor:g}, "
                   f"min {args.latency_min_ms:g} ms)")
         return 0
-    # A p99 curve regression is a hard failure: tail latency is the
+    # A p99 regression is a hard failure: tail latency is the
     # service-level contract, not a noisy-trajectory warning. A failed
     # speedup gate likewise.
     if hard or args.min_speedup is not None:
@@ -389,8 +372,8 @@ def main(argv=None):
     parser.add_argument("--fail-on-latency", action="store_true",
                         help="exit 1 on latency regressions too")
     parser.add_argument("--curve-min-us", type=float, default=200.0,
-                        help="latency-curve records: ignore absolute p50/p99 "
-                        "growth below this many microseconds")
+                        help="p99_us records: ignore absolute p99 growth "
+                        "below this many microseconds")
     parser.add_argument("--min-speedup", type=float, default=None,
                         help="bench mode only: require the candidate to be "
                         "at least this many times faster than the baseline "
